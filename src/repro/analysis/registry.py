@@ -108,16 +108,19 @@ SEEDED_RNG_CONSTRUCTORS = frozenset(
 # ----------------------------------------------------------------------
 # R5 — kernel purity
 # ----------------------------------------------------------------------
-#: Functions the runtime registers as pricing/profile-capable kernels.
-#: A pricing probe must be repeatable, so these must never mutate their
-#: vector/matrix arguments (DenseVector buffers, MultiVector columns,
-#: current-value arrays) in place.
+#: Functions the runtime registers as pricing/profile-capable kernels,
+#: plus the per-column bodies they share.  A pricing probe must be
+#: repeatable, so these must never mutate their vector/matrix arguments
+#: (DenseVector buffers, MultiVector columns, current-value arrays) in
+#: place.
 PURE_KERNELS = frozenset(
     {
         "inner_product",
         "outer_product",
         "inner_product_batch",
         "outer_product_batch",
+        "_ip_column",
+        "_op_column",
     }
 )
 

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.reconfig import IterationRecord
+from ..core.reconfig import IterationRecord, ReconfigurationLog
 from ..core.runtime import CoSparseRuntime, SpMVOperand
 from ..errors import ConfigurationError
 from ..formats import COOMatrix, DenseVector, SparseVector
@@ -115,30 +115,15 @@ class ClusterIterationRecord:
 
 
 @dataclass
-class ClusterLog:
+class ClusterLog(ReconfigurationLog):
     """Execution history of one distributed algorithm run.
 
-    Duck-types :class:`~repro.core.reconfig.ReconfigurationLog` (the
-    drivers' :class:`~repro.graphs.common.AlgorithmRun` consumes either)
-    and adds the network-vs-compute breakdown.
+    A :class:`~repro.core.reconfig.ReconfigurationLog` of
+    :class:`ClusterIterationRecord`\\ s: totals, switch counts and the
+    config/density sequences come from the base class over the cluster
+    records; this adds the network-vs-compute breakdown and sums energy
+    over every shard.
     """
-
-    records: List[ClusterIterationRecord] = field(default_factory=list)
-    clock_hz: float = DEFAULT_PARAMS.clock_hz
-
-    def append(self, record: ClusterIterationRecord) -> None:
-        self.records.append(record)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    @property
-    def total_cycles(self) -> float:
-        """Whole-run cycles: per-iteration max-shard compute + network."""
-        return sum(r.total_cycles for r in self.records)
 
     @property
     def total_compute_cycles(self) -> float:
@@ -164,22 +149,6 @@ class ClusterLog:
         if not energies or all(e is None for e in energies):
             return None
         return sum(e or 0.0 for e in energies)
-
-    @property
-    def sw_switches(self) -> int:
-        """Iterations in which any shard switched software."""
-        return sum(1 for r in self.records if r.sw_switched)
-
-    @property
-    def hw_switches(self) -> int:
-        """Iterations in which any shard switched hardware mode."""
-        return sum(1 for r in self.records if r.hw_switched)
-
-    def config_sequence(self) -> List[str]:
-        return [r.config_label for r in self.records]
-
-    def density_sequence(self) -> List[float]:
-        return [r.vector_density for r in self.records]
 
     def summary(self) -> str:
         """Multi-line digest with the network/compute split."""

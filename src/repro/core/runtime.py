@@ -38,10 +38,11 @@ from ..formats import (
 from ..hardware import Geometry, HWMode, TransmuterSystem
 from ..hardware.params import DEFAULT_PARAMS, HardwareParams
 from ..spmv import (
+    IPStructure,
     SpMVResult,
-    build_ip_partitions,
     inner_product,
     inner_product_batch,
+    ip_vblock_width,
     outer_product,
     outer_product_batch,
 )
@@ -80,7 +81,7 @@ class SpMVOperand:
         # operands don't re-sort what the coordinator already converted.
         self.csc = CSCMatrix.from_coo(coo) if csc is None else csc
         self.info = MatrixInfo.of(coo)
-        self._partitions = {}
+        self._structures = {}
 
     @classmethod
     def from_any(cls, matrix) -> "SpMVOperand":
@@ -91,17 +92,23 @@ class SpMVOperand:
             return cls(matrix)
         return cls(COOMatrix.from_scipy(matrix))
 
-    def ip_partition(self, geometry: Geometry, balanced: bool = True):
-        """Cached equal-nnz (or naive) row partitioning for a geometry."""
-        key = (geometry.tiles, geometry.pes_per_tile, balanced)
-        if key not in self._partitions:
-            self._partitions[key] = build_ip_partitions(
-                self.coo.row_extents(),
-                geometry.tiles,
-                geometry.pes_per_tile,
-                balanced=balanced,
+    def ip_structure(
+        self,
+        geometry: Geometry,
+        balanced: bool = True,
+        params: HardwareParams = DEFAULT_PARAMS,
+        value_words: int = 1,
+        vblock_width: Optional[int] = None,
+    ) -> IPStructure:
+        """Cached IP structure (partition, vblock layout, entry owners and
+        output keys) for a geometry, keyed by the *resolved* vblock width."""
+        width = ip_vblock_width(geometry, params, value_words, vblock_width)
+        key = (geometry.tiles, geometry.pes_per_tile, balanced, width)
+        if key not in self._structures:
+            self._structures[key] = IPStructure.build(
+                self.coo, geometry, width, balanced
             )
-        return self._partitions[key]
+        return self._structures[key]
 
 
 class CoSparseRuntime:
@@ -300,7 +307,7 @@ class CoSparseRuntime:
                 hw_mode=mode,
                 params=self.params,
                 current=current,
-                partition=self.operand.ip_partition(self.geometry, self.balanced),
+                structure=self._ip_structure(semiring),
                 balanced=self.balanced,
                 with_trace=self.with_trace,
                 profile_only=profile_only,
@@ -320,6 +327,15 @@ class CoSparseRuntime:
                 profile_only=profile_only,
             )
         return result, cost
+
+    def _ip_structure(self, semiring: Semiring) -> IPStructure:
+        return self.operand.ip_structure(
+            self.geometry,
+            self.balanced,
+            self.params,
+            semiring.value_words,
+            self._vblock_width,
+        )
 
     def _scores(self, reports) -> List[float]:
         """The quantities one comparison minimises — in a single unit.
@@ -499,47 +515,67 @@ class CoSparseRuntime:
                     result, conv = self._run_kernel(
                         algorithm, mode, frontier, semiring, current
                     )
-            conv_cycles = (
-                conv.words * _CONV_CYCLES_PER_WORD / max(self.geometry.n_pes, 1)
-            )
-            with sanitize.scope("spmv") as san, tracer.span("price") as priced:
-                report = self.system.run(result.profile)
-                priced.set(cycles=report.cycles)
-                san.check_report(f"spmv iter {self._iteration}", report)
-                san.check_conversion(
-                    f"spmv iter {self._iteration}", conv, conv_cycles
+            with sanitize.scope("spmv") as san:
+                record = self._record(
+                    tracer, san, f"spmv iter {self._iteration}", result,
+                    conv, (algorithm, mode, alternatives, density, shadow),
+                    probe_reused,
                 )
-            record = IterationRecord(
-                iteration=self._iteration,
-                vector_density=density,
-                algorithm=algorithm,
-                hw_mode=mode,
-                report=report,
-                conversion_cycles=conv_cycles,
-                conversion=conv,
-                sw_switched=(
-                    self._last_algorithm is not None
-                    and algorithm != self._last_algorithm
-                ),
-                hw_switched=(
-                    self._last_mode is not None and mode is not self._last_mode
-                ),
-                alternatives=alternatives,
-            )
-            self.log.append(record)
             if tracer.enabled:
                 root.set(
                     config=record.config_label,
                     vector_density=density,
                     cycles=record.total_cycles,
                 )
-                self._emit_decision_events(
-                    tracer, record, shadow, alternatives, probe_reused
-                )
-            self._iteration += 1
-            self._last_algorithm = algorithm
-            self._last_mode = mode
         return result
+
+    def _record(
+        self, tracer, san, label, result, conv, decision, probe_reused,
+        batch_id=None, batch_column=None,
+    ) -> IterationRecord:
+        """Price one executed column, sanitize its accounting, log its
+        :class:`IterationRecord`, emit the decision-audit events and
+        advance the switch state — the one record path :meth:`spmv` and
+        :meth:`spmv_batch` share.  ``decision`` is the column's
+        ``(algorithm, mode, alternatives, density, shadow)``."""
+        algorithm, mode, alternatives, density, shadow = decision
+        conv_cycles = (
+            conv.words * _CONV_CYCLES_PER_WORD / max(self.geometry.n_pes, 1)
+        )
+        price_attrs = {} if batch_column is None else {"column": batch_column}
+        with tracer.span("price", **price_attrs) as priced:
+            report = self.system.run(result.profile)
+            priced.set(cycles=report.cycles)
+        san.check_report(label, report)
+        san.check_conversion(label, conv, conv_cycles)
+        record = IterationRecord(
+            iteration=self._iteration,
+            vector_density=density,
+            algorithm=algorithm,
+            hw_mode=mode,
+            report=report,
+            conversion_cycles=conv_cycles,
+            conversion=conv,
+            sw_switched=(
+                self._last_algorithm is not None
+                and algorithm != self._last_algorithm
+            ),
+            hw_switched=(
+                self._last_mode is not None and mode is not self._last_mode
+            ),
+            alternatives=alternatives,
+            batch_id=batch_id,
+            batch_column=batch_column,
+        )
+        self.log.append(record)
+        if tracer.enabled:
+            self._emit_decision_events(
+                tracer, record, shadow, alternatives, probe_reused
+            )
+        self._iteration += 1
+        self._last_algorithm = algorithm
+        self._last_mode = mode
+        return record
 
     # ------------------------------------------------------------------
     def spmv_batch(
@@ -695,9 +731,7 @@ class CoSparseRuntime:
                         hw_mode=mode,
                         params=self.params,
                         currents=group_currents,
-                        partition=self.operand.ip_partition(
-                            self.geometry, self.balanced
-                        ),
+                        structure=self._ip_structure(semiring),
                         balanced=self.balanced,
                         columns=cols,
                         vblock_width=self._vblock_width,
@@ -714,49 +748,14 @@ class CoSparseRuntime:
                         columns=cols,
                     )
             for j, result in zip(cols, group_results):
-                _alg, _mode, alternatives, density, shadow = decisions[j]
-                with tracer.span("price", column=j) as priced:
-                    report = self.system.run(result.profile)
-                    priced.set(cycles=report.cycles)
-                san.check_report(f"spmv_batch col {j}", report)
                 conv = mv.conversion_cost(
                     j, "dense" if algorithm == "ip" else "sparse"
                 )
-                conv_cycles = (
-                    conv.words
-                    * _CONV_CYCLES_PER_WORD
-                    / max(self.geometry.n_pes, 1)
-                )
-                san.check_conversion(f"spmv_batch col {j}", conv, conv_cycles)
-                record = IterationRecord(
-                    iteration=self._iteration,
-                    vector_density=density,
-                    algorithm=algorithm,
-                    hw_mode=mode,
-                    report=report,
-                    conversion_cycles=conv_cycles,
-                    conversion=conv,
-                    sw_switched=(
-                        self._last_algorithm is not None
-                        and algorithm != self._last_algorithm
-                    ),
-                    hw_switched=(
-                        self._last_mode is not None
-                        and mode is not self._last_mode
-                    ),
-                    alternatives=alternatives,
-                    batch_id=batch_id,
+                self._record(
+                    tracer, san, f"spmv_batch col {j}", result, conv,
+                    decisions[j], probe_reused=False, batch_id=batch_id,
                     batch_column=j,
                 )
-                self.log.append(record)
-                if tracer.enabled:
-                    self._emit_decision_events(
-                        tracer, record, shadow, alternatives,
-                        probe_reused=False,
-                    )
-                self._iteration += 1
-                self._last_algorithm = algorithm
-                self._last_mode = mode
                 results[j] = result
 
     # ------------------------------------------------------------------

@@ -139,7 +139,7 @@ def run_fig9(
                 geometry,
                 HWMode.SC,
                 current=dist,
-                partition=operand.ip_partition(geometry),
+                structure=operand.ip_structure(geometry),
             )
             sp.set(
                 **{

@@ -15,8 +15,9 @@ hot path, so the expensive invariants are cached per process:
   algebra (the old ``run_config`` built one per innermost loop call);
 * :func:`system_for` — one :class:`~repro.hardware.TransmuterSystem`
   per ``(geometry, params)``;
-* :func:`partition_for` — one equal-nnz IP partition per
-  ``(matrix token, geometry, balanced)``.
+* :func:`partition_for` — one :class:`~repro.spmv.inner.IPStructure`
+  (partition, vblock layout, entry owners and output keys) per
+  ``(matrix token, geometry, balanced, resolved vblock width)``.
 
 The memos live at module scope: pool workers are forked with the module
 already imported, and the ``REPRO_JOBS=1`` serial path shares the very
@@ -35,12 +36,13 @@ from ..formats import COOMatrix, CSCMatrix, SparseVector
 from ..hardware import Geometry, HWMode, TransmuterSystem
 from ..hardware.params import DEFAULT_PARAMS, HardwareParams
 from ..spmv import (
+    IPStructure,
     inner_product,
+    ip_vblock_width,
     outer_product,
     spmv_semiring,
     sssp_semiring,
 )
-from ..spmv.partition import build_ip_partitions
 from ..workloads import random_frontier
 
 __all__ = [
@@ -119,8 +121,9 @@ def pool_entry(spec) -> Tuple[int, dict, float]:
 # ----------------------------------------------------------------------
 _semirings: Dict[str, object] = {}
 _systems: Dict[Tuple, TransmuterSystem] = {}
-#: token-keyed partition memo: (token, tiles, pes, balanced) -> partition
-_partitions: Dict[Tuple, object] = {}
+#: token-keyed IP structure memo:
+#: (token, tiles, pes, balanced, vblock width) -> IPStructure
+_partitions: Dict[Tuple, IPStructure] = {}
 
 _SEMIRING_BUILDERS = {"spmv": spmv_semiring, "sssp": sssp_semiring}
 
@@ -159,19 +162,23 @@ def system_for(
 
 
 def partition_for(
-    token: str, geometry: Geometry, coo: COOMatrix, balanced: bool = True
-):
-    """One equal-nnz IP partition per (matrix token, geometry)."""
-    key = (token, geometry.tiles, geometry.pes_per_tile, balanced)
-    part = _partitions.get(key)
-    if part is None:
-        part = _partitions[key] = build_ip_partitions(
-            coo.row_extents(),
-            geometry.tiles,
-            geometry.pes_per_tile,
-            balanced=balanced,
+    token: str,
+    geometry: Geometry,
+    coo: COOMatrix,
+    balanced: bool = True,
+    params: Optional[HardwareParams] = None,
+    vblock_width: Optional[int] = None,
+) -> IPStructure:
+    """One IP structure per (matrix token, geometry, balanced, resolved
+    vblock width) for scalar semirings."""
+    width = ip_vblock_width(geometry, params or DEFAULT_PARAMS, 1, vblock_width)
+    key = (token, geometry.tiles, geometry.pes_per_tile, balanced, width)
+    structure = _partitions.get(key)
+    if structure is None:
+        structure = _partitions[key] = IPStructure.build(
+            coo, geometry, width, balanced
         )
-    return part
+    return structure
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +257,7 @@ def price_config(payload: dict, arrays: Dict[str, np.ndarray]) -> dict:
     ``geometry`` ("AxB"), ``shape`` ([n_rows, n_cols]), ``frontier``
     (seeded spec or explicit-array marker), optional ``semiring``
     ("spmv"/"sssp"), ``balanced``, ``profile_only``, ``use_partition``
-    + ``token`` (equal-nnz IP partition memo key), ``params``
+    + ``token`` (IP structure memo key), ``params``
     (HardwareParams overrides), ``vblock_width`` (IP blocking override,
     the autotuner's candidate widths).  Arrays: the matrix in the format the
     algorithm streams (COO for IP, CSC for OP), optional
@@ -268,15 +275,18 @@ def price_config(payload: dict, arrays: Dict[str, np.ndarray]) -> dict:
     kw = {} if params is None else {"params": params}
     if payload["algorithm"] == "ip":
         coo = _coo_from(payload, arrays)
-        partition = None
+        vb = payload.get("vblock_width")
+        vb = None if vb is None else int(vb)
+        structure = None
         if payload.get("use_partition"):
-            partition = partition_for(payload["token"], geometry, coo)
+            structure = partition_for(
+                payload["token"], geometry, coo, balanced, params, vb
+            )
         if semiring.absent == 0.0:
             dense = frontier.to_dense()
         else:
             dense = np.full(frontier.n, semiring.absent)
             dense[frontier.indices] = frontier.values
-        vb = payload.get("vblock_width")
         kern = inner_product(
             coo,
             dense,
@@ -284,10 +294,10 @@ def price_config(payload: dict, arrays: Dict[str, np.ndarray]) -> dict:
             geometry,
             mode,
             current=current,
-            partition=partition,
+            structure=structure,
             balanced=balanced,
             profile_only=profile_only,
-            vblock_width=None if vb is None else int(vb),
+            vblock_width=vb,
             **kw,
         )
     else:

@@ -1,20 +1,26 @@
 """CoSPARSE's SpMV kernels and their supporting machinery.
 
-Two algorithms implement the same semiring SpMV abstraction:
+Two algorithms implement the same semiring SpMV abstraction, one module
+each:
 
-* :func:`~repro.spmv.inner.inner_product` — dense-frontier IP, row-major
-  COO streaming, equal-nnz row partitions, vblocks (runs under SC/SCS);
-* :func:`~repro.spmv.outer.outer_product` — sparse-frontier OP, CSC
-  column heap-merge with LCP write-back (runs under PC/PS).
+* :mod:`~repro.spmv.inner` — dense-frontier IP, row-major COO streaming,
+  equal-nnz row partitions, vblocks (runs under SC/SCS);
+* :mod:`~repro.spmv.outer` — sparse-frontier OP, CSC column heap-merge
+  with LCP write-back (runs under PC/PS).
 
-Both return an :class:`~repro.spmv.result.SpMVResult` carrying the
+Each module has one per-column kernel body.  ``inner_product`` /
+``outer_product`` run it on a single frontier; ``inner_product_batch`` /
+``outer_product_batch`` run it on every column of a
+:class:`~repro.formats.multivector.MultiVector`, sharing the structural
+work (the cached :class:`~repro.spmv.inner.IPStructure`, the OP union
+gather) so each column is bit-identical to the single-column call.  All
+four return :class:`~repro.spmv.result.SpMVResult` objects carrying the
 functional output *and* the hardware profile the decision layer prices.
 """
 
-from .batch import inner_product_batch, outer_product_batch
 from .heap import MergeHeap
-from .inner import inner_product
-from .outer import outer_product
+from .inner import IPStructure, inner_product, inner_product_batch, ip_vblock_width
+from .outer import outer_product, outer_product_batch
 from .partition import (
     IPPartition,
     build_ip_partitions,
@@ -38,10 +44,12 @@ from .semiring import (
 
 __all__ = [
     "MergeHeap",
+    "IPStructure",
     "inner_product",
     "inner_product_batch",
     "outer_product",
     "outer_product_batch",
+    "ip_vblock_width",
     "IPPartition",
     "build_ip_partitions",
     "commvol_row_bounds",

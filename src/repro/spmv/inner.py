@@ -1,4 +1,4 @@
-"""The inner-product (IP) SpMV kernel.
+"""The inner-product (IP) SpMV kernel, single-column and batched.
 
 Section III-A/III-B of the paper: the matrix is streamed in row-major COO
 order, split into equal-nnz row partitions (one per PE) and vertical
@@ -8,21 +8,27 @@ is pinned in the tile's shared SPM; under ``SC`` it is fetched through the
 shared L1 caches.  Each tile owns disjoint output rows, so no
 synchronisation is needed.
 
-The function below produces (a) the exact functional result of the
-semiring SpMV, computed with vectorised numpy over the very same
+Everything that does not depend on the frontier — the partition, the
+vblock layout, each entry's owning PE and its (row, vblock) output key —
+lives in an :class:`IPStructure`, built once per (matrix, geometry,
+balancing, vblock width) and reused across calls and batch columns.
+:func:`inner_product` and :func:`inner_product_batch` both run one
+per-column body over it, which produces (a) the exact functional result
+of the semiring SpMV, computed with vectorised numpy over the very same
 partition structure, and (b) the per-PE hardware profile — and, on
 request, an exact interleaved address trace for the trace-replay engine.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..analysis import sanitize
 from ..errors import ConfigurationError, ShapeError
-from ..formats import COOMatrix, DenseVector
+from ..formats import COOMatrix, DenseVector, MultiVector
 from ..hardware import (
     AccessStream,
     Geometry,
@@ -41,7 +47,12 @@ from .partition import IPPartition, build_ip_partitions, vblock_width
 from .result import SpMVResult
 from .semiring import Semiring
 
-__all__ = ["inner_product"]
+__all__ = [
+    "IPStructure",
+    "inner_product",
+    "inner_product_batch",
+    "ip_vblock_width",
+]
 
 #: In-order pipeline slots per streamed COO entry (loop control, three
 #: loads issued, activity test) beyond the semiring's own flops.
@@ -50,6 +61,187 @@ _OPS_PER_ENTRY = 6
 _FIXED_OVERHEAD = 150.0
 #: Per-vblock tile synchronisation cycles.
 _VBLOCK_SYNC = 12.0
+
+
+def ip_vblock_width(
+    geometry: Geometry,
+    params: HardwareParams,
+    value_words: int,
+    override: Optional[int] = None,
+) -> int:
+    """Columns per vertical block for one geometry and value size.
+
+    Both modes use the SPM-sized vertical blocking: "the vertical
+    partition is not required for the SC mode but can still be
+    beneficial because of the improved spatial and temporal locality of
+    vector accesses" (Section III-B).  Keeping the width identical
+    isolates the SCS-vs-SC contrast to where the vector segment lives:
+    pinned in the scratchpad, or exposed to eviction in the shared L1.
+
+    ``override`` narrows the width below the SPM-fit maximum (a tuning
+    plan trading more per-vblock synchronisation for tighter vector
+    locality); it can never widen past what the scratchpad holds.
+    """
+    width = vblock_width(HWMode.SCS.spm_words(geometry, params), value_words)
+    if override is not None:
+        if override <= 0:
+            raise ConfigurationError(
+                f"vblock width override must be positive, got {override}"
+            )
+        width = min(width, int(override))
+    return width
+
+
+@dataclass(frozen=True, eq=False)
+class IPStructure:
+    """The frontier-independent half of an IP invocation.
+
+    Built once per (matrix, geometry, ``balanced``, resolved vblock
+    width) and shared by every call and batch column that uses it.
+    ``keys`` holds each entry's (row, vblock) output key;
+    ``keys_sorted`` records whether that stream is non-decreasing (true
+    for a lexsorted COO), which lets the per-column distinct count use
+    a linear scan instead of ``np.unique``.
+    """
+
+    partition: IPPartition
+    width: int
+    n_vblocks: int
+    #: Row boundaries of every PE, flattened tile-major, plus ``n_rows``.
+    flat_bounds: np.ndarray
+    #: Owning PE of each stored entry.
+    part_of: np.ndarray
+    #: Stored entries per PE.
+    nnz_pe: np.ndarray
+    keys: np.ndarray
+    keys_sorted: bool
+
+    @classmethod
+    def build(
+        cls,
+        matrix: COOMatrix,
+        geometry: Geometry,
+        width: int,
+        balanced: bool = True,
+    ) -> "IPStructure":
+        rows, cols, _vals = matrix.to_arrays()
+        partition = build_ip_partitions(
+            matrix.row_extents(),
+            geometry.tiles,
+            geometry.pes_per_tile,
+            balanced=balanced,
+        )
+        n_vblocks = max(1, -(-matrix.n_cols // width))
+        flat_bounds = np.concatenate(
+            [b[:-1] for b in partition.pe_bounds] + [[matrix.n_rows]]
+        ).astype(np.int64)
+        part_of = _owner(flat_bounds, rows, geometry)
+        keys = rows * np.int64(n_vblocks) + cols // width
+        return cls(
+            partition=partition,
+            width=width,
+            n_vblocks=n_vblocks,
+            flat_bounds=flat_bounds,
+            part_of=part_of,
+            nnz_pe=np.bincount(part_of, minlength=geometry.n_pes).astype(
+                np.int64
+            ),
+            keys=keys,
+            # COOMatrix lexsorts by (row, col), which makes the key
+            # stream non-decreasing; a matrix built with sort=False may
+            # not be, so verify rather than assume.
+            keys_sorted=bool(np.all(keys[1:] >= keys[:-1])),
+        )
+
+
+def _owner(flat_bounds: np.ndarray, rows: np.ndarray, geometry) -> np.ndarray:
+    """Owning-PE index of each row in ``rows``."""
+    return np.clip(
+        np.searchsorted(flat_bounds, rows, side="right") - 1,
+        0,
+        geometry.n_pes - 1,
+    )
+
+
+def _structure_for(
+    structure: Optional[IPStructure],
+    matrix: COOMatrix,
+    geometry: Geometry,
+    params: HardwareParams,
+    value_words: int,
+    balanced: bool,
+    override: Optional[int],
+) -> IPStructure:
+    """The caller's cached structure, checked against this call, or a
+    freshly built one."""
+    width = ip_vblock_width(geometry, params, value_words, override)
+    if structure is None:
+        return IPStructure.build(matrix, geometry, width, balanced)
+    if (
+        structure.width != width
+        or len(structure.nnz_pe) != geometry.n_pes
+        or len(structure.part_of) != matrix.nnz
+    ):
+        raise ConfigurationError(
+            f"IP structure (width {structure.width}, "
+            f"{len(structure.nnz_pe)} PEs, {len(structure.part_of)} entries) "
+            f"does not fit this call (width {width}, {geometry.n_pes} PEs, "
+            f"{matrix.nnz} entries)"
+        )
+    return structure
+
+
+def _check_mode(hw_mode: HWMode) -> None:
+    if hw_mode not in (HWMode.SC, HWMode.SCS):
+        raise ConfigurationError(f"IP runs under SC or SCS, not {hw_mode}")
+
+
+def _check_batch_args(frontiers, matrix_cols: int, semiring: Semiring, columns, currents):
+    """Validation shared by both batched kernels; returns the resolved
+    (columns, currents) lists."""
+    if not isinstance(frontiers, MultiVector):
+        raise ShapeError("batched kernels expect a MultiVector frontier batch")
+    if frontiers.n != matrix_cols:
+        raise ShapeError(
+            f"frontier length {frontiers.n} incompatible with a "
+            f"{matrix_cols}-column matrix"
+        )
+    if semiring.value_words != 1:
+        raise ConfigurationError(
+            "the batched kernels handle scalar semirings; vector-valued "
+            f"semirings like {semiring.name} already batch internally"
+        )
+    if frontiers.absent != semiring.absent:
+        raise ConfigurationError(
+            f"MultiVector absent={frontiers.absent} does not match "
+            f"semiring {semiring.name} absent={semiring.absent}"
+        )
+    if columns is None:
+        columns = list(range(frontiers.k))
+    else:
+        columns = [int(j) for j in columns]
+        for j in columns:
+            if not 0 <= j < frontiers.k:
+                raise ShapeError(f"batch column {j} outside [0, {frontiers.k})")
+    if currents is None:
+        currents = [None] * len(columns)
+    else:
+        currents = list(currents)
+        if len(currents) != len(columns):
+            raise ShapeError(
+                f"{len(currents)} current vectors for {len(columns)} columns"
+            )
+    return columns, currents
+
+
+def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
+    """Distinct values of a *non-decreasing* key array (== np.unique)."""
+    if len(keys) == 0:
+        return keys
+    mask = np.empty(len(keys), dtype=bool)
+    mask[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=mask[1:])
+    return keys[mask]
 
 
 @traced("kernel.inner_product", capture=("hw_mode", "profile_only"))
@@ -61,7 +253,7 @@ def inner_product(
     hw_mode: HWMode = HWMode.SC,
     params: HardwareParams = DEFAULT_PARAMS,
     current: Optional[np.ndarray] = None,
-    partition: Optional[IPPartition] = None,
+    structure: Optional[IPStructure] = None,
     balanced: bool = True,
     with_trace: bool = False,
     profile_only: bool = False,
@@ -86,9 +278,11 @@ def inner_product(
     current:
         Current vertex values (required for carry/``needs_dst``
         semirings and as Vector_Op's second operand).
-    partition:
-        Pre-built static partition (reused across iterations, as the
-        paper's preprocessing does); built on the fly when omitted.
+    structure:
+        Pre-built :class:`IPStructure` (reused across iterations, as the
+        paper's preprocessing reuses its static partition); built on the
+        fly when omitted.  It must match this call's geometry and
+        resolved vblock width.
     balanced:
         Equal-nnz partitioning (True) or the naive equal-rows baseline
         (False) — the Fig. 7 ablation.
@@ -105,8 +299,7 @@ def inner_product(
         stays feasible; affects only the modelled profile, never the
         functional values.
     """
-    if hw_mode not in (HWMode.SC, HWMode.SCS):
-        raise ConfigurationError(f"IP runs under SC or SCS, not {hw_mode}")
+    _check_mode(hw_mode)
     if isinstance(vector, DenseVector):
         vector = vector.data
     v = np.asarray(vector, dtype=np.float64)
@@ -122,14 +315,74 @@ def inner_product(
         )
     if with_trace and vw != 1:
         raise ConfigurationError("trace generation supports scalar semirings only")
+    structure = _structure_for(
+        structure, matrix, geometry, params, vw, balanced, vblock_width
+    )
+    return _ip_column(
+        matrix, v, semiring, geometry, hw_mode, current, structure,
+        balanced, profile_only, with_trace, "inner_product",
+    )
 
-    rows, cols, vals = matrix.to_arrays()
-    row_ptr = matrix.row_extents()
-    if partition is None:
-        partition = build_ip_partitions(
-            row_ptr, geometry.tiles, geometry.pes_per_tile, balanced=balanced
+
+@traced("kernel.inner_product_batch", capture=("hw_mode", "columns", "profile_only"))
+def inner_product_batch(
+    matrix: COOMatrix,
+    frontiers: MultiVector,
+    semiring: Semiring,
+    geometry: Geometry,
+    hw_mode: HWMode = HWMode.SC,
+    params: HardwareParams = DEFAULT_PARAMS,
+    currents: Optional[Sequence[Optional[np.ndarray]]] = None,
+    structure: Optional[IPStructure] = None,
+    balanced: bool = True,
+    columns: Optional[Sequence[int]] = None,
+    profile_only: bool = False,
+    vblock_width: Optional[int] = None,
+) -> List[SpMVResult]:
+    """Batched IP SpMV: one result per selected column, in ``columns`` order.
+
+    Parameters mirror :func:`inner_product`, with the dense vector
+    replaced by a :class:`MultiVector` (whose ``absent`` must match the
+    semiring's) plus optional per-column ``currents`` and a ``columns``
+    selection.  Every column runs the same body as :func:`inner_product`
+    over one shared :class:`IPStructure`, so each result is bit-identical
+    to the single-column call.  Address-trace generation is
+    single-column only.
+    """
+    _check_mode(hw_mode)
+    columns, currents = _check_batch_args(
+        frontiers, matrix.n_cols, semiring, columns, currents
+    )
+    structure = _structure_for(
+        structure, matrix, geometry, params, 1, balanced, vblock_width
+    )
+    _perf.kernel_batched_columns += len(columns)
+    return [
+        _ip_column(
+            matrix, frontiers.column_dense(j), semiring, geometry, hw_mode,
+            current, structure, balanced, profile_only, False,
+            f"inner_product_batch[{j}]",
         )
+        for j, current in zip(columns, currents)
+    ]
 
+
+def _ip_column(
+    matrix: COOMatrix,
+    v: np.ndarray,
+    semiring: Semiring,
+    geometry: Geometry,
+    hw_mode: HWMode,
+    current: Optional[np.ndarray],
+    structure: IPStructure,
+    balanced: bool,
+    profile_only: bool,
+    with_trace: bool,
+    label: str,
+) -> SpMVResult:
+    """One dense column through the IP kernel: functional result (unless
+    ``profile_only``) and hardware profile."""
+    rows, cols, vals = matrix.to_arrays()
     # ------------------------------------------------------------------
     # Functional result (vectorised; identical to the per-PE schedule
     # because row partitions are disjoint and the reduce is commutative).
@@ -140,14 +393,13 @@ def inner_product(
         active = v[cols] != semiring.absent
     else:
         active = np.ones(len(cols), dtype=bool)
-    a_rows, a_cols = rows[active], cols[active]
     if profile_only:
         _perf.kernel_profile_only += 1
         out = None
         touched = None
     else:
         _perf.kernel_executions += 1
-        a_vals = vals[active]
+        a_rows, a_cols, a_vals = rows[active], cols[active], vals[active]
         out = semiring.init_output(matrix.n_rows, current)
         v_dst = None
         if semiring.needs_dst:
@@ -168,26 +420,26 @@ def inner_product(
     # ------------------------------------------------------------------
     # Hardware profile
     # ------------------------------------------------------------------
-    width, n_vblocks = _ip_layout(
-        matrix.n_cols, geometry, params, vw, override=vblock_width
-    )
-    flat_bounds, part_of = _ip_part_of(rows, partition, matrix.n_rows, geometry)
-    nnz_pe = np.bincount(part_of, minlength=geometry.n_pes).astype(np.int64)
-    act_pe = np.bincount(part_of[active], minlength=geometry.n_pes).astype(
+    s = structure
+    n_active = int(active.sum())
+    act_pe = np.bincount(s.part_of[active], minlength=geometry.n_pes).astype(
         np.int64
     )
     _san = sanitize.active()
-    _san.check_histogram("inner_product/nnz", nnz_pe, matrix.nnz)
-    _san.check_histogram("inner_product/active", act_pe, int(active.sum()))
+    _san.check_histogram(f"{label}/nnz", s.nnz_pe, matrix.nnz)
+    _san.check_histogram(f"{label}/active", act_pe, n_active)
     # Output first-touches: the row-major stream accumulates consecutive
     # same-row contributions in registers, so only distinct (row, vblock)
     # pairs are exposed to the memory system.
-    out_key = rows[active] * np.int64(n_vblocks) + cols[active] // width
-    uniq_out = np.unique(out_key)
-    out_pe = _ip_out_pe(uniq_out, n_vblocks, flat_bounds, geometry)
+    out_key = s.keys[active]
+    uniq_out = _distinct_sorted(out_key) if s.keys_sorted else np.unique(out_key)
+    out_pe = np.bincount(
+        _owner(s.flat_bounds, uniq_out // s.n_vblocks, geometry),
+        minlength=geometry.n_pes,
+    ).astype(np.int64)
 
     trace_builder = (
-        (lambda k: _build_ip_trace(part_of, k, rows, cols, active, width))
+        (lambda k: _build_ip_trace(s.part_of, k, rows, cols, active, s.width))
         if with_trace
         else None
     )
@@ -196,73 +448,14 @@ def inner_product(
         semiring,
         geometry,
         hw_mode,
-        partition,
+        s,
         balanced,
-        width,
-        n_vblocks,
-        nnz_pe,
         act_pe,
         out_pe,
-        int(active.sum()),
-        vw,
+        n_active,
         trace_builder,
     )
     return SpMVResult(values=out, touched=touched, profile=profile, semiring=semiring)
-
-
-def _ip_layout(
-    n_cols: int,
-    geometry: Geometry,
-    params: HardwareParams,
-    vw: int,
-    override: Optional[int] = None,
-):
-    """Vertical-blocking layout shared by the single and batched kernels.
-
-    Both modes use the SPM-sized vertical blocking: "the vertical
-    partition is not required for the SC mode but can still be
-    beneficial because of the improved spatial and temporal locality of
-    vector accesses" (Section III-B).  Keeping the width identical
-    isolates the SCS-vs-SC contrast to where the vector segment lives:
-    pinned in the scratchpad, or exposed to eviction in the shared L1.
-
-    ``override`` narrows the width below the SPM-fit maximum (a tuning
-    plan trading more per-vblock synchronisation for tighter vector
-    locality); it can never widen past what the scratchpad holds.
-    """
-    width = vblock_width(HWMode.SCS.spm_words(geometry, params), vw)
-    if override is not None:
-        if override <= 0:
-            raise ConfigurationError(
-                f"vblock width override must be positive, got {override}"
-            )
-        width = min(width, int(override))
-    n_vblocks = max(1, -(-n_cols // width))
-    return width, n_vblocks
-
-
-def _ip_part_of(rows: np.ndarray, partition: IPPartition, n_rows: int, geometry):
-    """Per-entry owning-PE index (frontier-independent, reusable)."""
-    flat_bounds = np.concatenate(
-        [b[:-1] for b in partition.pe_bounds] + [[n_rows]]
-    ).astype(np.int64)
-    part_of = np.clip(
-        np.searchsorted(flat_bounds, rows, side="right") - 1,
-        0,
-        geometry.n_pes - 1,
-    )
-    return flat_bounds, part_of
-
-
-def _ip_out_pe(uniq_out, n_vblocks, flat_bounds, geometry) -> np.ndarray:
-    """Per-PE distinct (row, vblock) first-touch counts."""
-    uniq_rows = (uniq_out // n_vblocks).astype(np.int64)
-    out_part = np.clip(
-        np.searchsorted(flat_bounds, uniq_rows, side="right") - 1,
-        0,
-        geometry.n_pes - 1,
-    )
-    return np.bincount(out_part, minlength=geometry.n_pes).astype(np.int64)
 
 
 def _build_ip_profile(
@@ -270,26 +463,24 @@ def _build_ip_profile(
     semiring: Semiring,
     geometry: Geometry,
     hw_mode: HWMode,
-    partition: IPPartition,
+    structure: IPStructure,
     balanced: bool,
-    width: int,
-    n_vblocks: int,
-    nnz_pe: np.ndarray,
     act_pe: np.ndarray,
     out_pe: np.ndarray,
     active_entries: int,
-    vw: int,
     trace_builder=None,
 ) -> KernelProfile:
     """Assemble the IP :class:`KernelProfile` from per-PE counts."""
+    vw = semiring.value_words
+    width, n_vblocks = structure.width, structure.n_vblocks
     T, P = geometry.tiles, geometry.pes_per_tile
     tiles = []
     for t in range(T):
         pes = []
         for p in range(P):
             k = t * P + p
-            n_k, a_k = int(nnz_pe[k]), int(act_pe[k])
-            lo, hi = partition.pe_row_range(t, p)
+            n_k, a_k = int(structure.nnz_pe[k]), int(act_pe[k])
+            lo, hi = structure.partition.pe_row_range(t, p)
             streams = [
                 AccessStream(
                     Region.MATRIX,

@@ -1,4 +1,4 @@
-"""The outer-product (OP) SpMV kernel.
+"""The outer-product (OP) SpMV kernel, single-column and batched.
 
 Section III-A of the paper: the matrix is stored in CSC; the frontier is a
 sparse list of (index, value) pairs.  Rows are split across tiles in
@@ -9,25 +9,31 @@ list").  Merged elements flow to the LCP, which combines duplicates
 across PEs and writes results back to main memory — a *serial* per-tile
 stage that is the reason OP scales worse with PEs per tile than IP.
 
+:func:`outer_product` and :func:`outer_product_batch` run one per-column
+body over already-gathered matrix entries: the single call gathers the
+frontier's columns directly, the batch gathers the union of its
+columns' frontiers once and slices each column's entries out of it.
+
 Two functional paths produce identical results:
 
 * the **fast path** (default) gathers the touched columns with vectorised
   numpy and scatter-reduces — used for large inputs;
-* the **exact path** (``exact=True`` or ``with_trace=True``) runs the
-  real per-PE heap merge element by element, which doubles as the
-  address-trace generator for the PC/PS hardware comparison.
+* the **exact path** (``exact=True`` or ``with_trace=True``, single-column
+  only) runs the real per-PE heap merge element by element, which
+  doubles as the address-trace generator for the PC/PS hardware
+  comparison.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..analysis import sanitize
 from ..errors import ConfigurationError, ShapeError, SimulationError
-from ..formats import CSCMatrix, SparseVector
+from ..formats import CSCMatrix, MultiVector, SparseVector
 from ..hardware import (
     AccessStream,
     Geometry,
@@ -44,11 +50,12 @@ from ..hardware.spm import Scratchpad
 from ..obs.tracer import traced
 from ..perf import counters as _perf
 from .heap import MergeHeap
+from .inner import _check_batch_args
 from .partition import equal_nnz_row_bounds, equal_rows_bounds
 from .result import SpMVResult
 from .semiring import Semiring
 
-__all__ = ["outer_product"]
+__all__ = ["outer_product", "outer_product_batch"]
 
 #: Pipeline slots per merged element beyond heap compares and the combine.
 _OPS_PER_ELEMENT = 4
@@ -60,6 +67,33 @@ _FIXED_OVERHEAD = 200.0
 _HEAP_SLOT_WORDS = 2
 #: Address stride separating different PEs' private heaps (words).
 _HEAP_PE_STRIDE = 1 << 22
+
+
+def _check_mode(hw_mode: HWMode) -> None:
+    if hw_mode not in (HWMode.PC, HWMode.PS, HWMode.SC):
+        # The decision tree only ever pairs OP with the private modes,
+        # but Fig. 9 also *prices* OP under the shared cache (its "OP /
+        # SC" column), so the kernel accepts SC for evaluation.
+        raise ConfigurationError(f"OP runs under PC, PS or SC, not {hw_mode}")
+
+
+def _tile_bounds(matrix: CSCMatrix, tiles: int, balanced: bool) -> np.ndarray:
+    """Row partitioning across tiles: equal-nnz (static balancing) or the
+    naive equal-rows baseline (Fig. 7's "w/o partition" ablation)."""
+    if balanced:
+        row_counts = np.bincount(matrix.indices, minlength=matrix.n_rows)
+        row_ptr = np.zeros(matrix.n_rows + 1, dtype=np.int64)
+        np.cumsum(row_counts, out=row_ptr[1:])
+        return equal_nnz_row_bounds(row_ptr, tiles)
+    return equal_rows_bounds(matrix.n_rows, tiles)
+
+
+def _tile_of(tile_bounds: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Owning tile of each row in ``rows``."""
+    tiles = len(tile_bounds) - 1
+    return np.clip(
+        np.searchsorted(tile_bounds, rows, side="right") - 1, 0, tiles - 1
+    )
 
 
 @traced("kernel.outer_product", capture=("hw_mode", "profile_only"))
@@ -88,11 +122,7 @@ def outer_product(
     trace generator; its functional output then comes along for free and
     the result reports ``executed``.
     """
-    if hw_mode not in (HWMode.PC, HWMode.PS, HWMode.SC):
-        # The decision tree only ever pairs OP with the private modes,
-        # but Fig. 9 also *prices* OP under the shared cache (its "OP /
-        # SC" column), so the kernel accepts SC for evaluation.
-        raise ConfigurationError(f"OP runs under PC, PS or SC, not {hw_mode}")
+    _check_mode(hw_mode)
     if not isinstance(frontier, SparseVector):
         raise ShapeError("outer_product expects a SparseVector frontier")
     if frontier.n != matrix.n_cols:
@@ -104,34 +134,117 @@ def outer_product(
             f"the OP kernel handles scalar semirings; {semiring.name} uses "
             "vector values and always runs dense (IP) in the paper"
         )
-    if with_trace:
-        exact = True
+    tile_bounds = _tile_bounds(matrix, geometry.tiles, balanced)
+    rows_g, vals_g, col_of = matrix.gather_columns(frontier.indices)
+    return _op_column(
+        matrix, frontier, semiring, geometry, hw_mode, params, current,
+        tile_bounds, rows_g, vals_g, col_of, _tile_of(tile_bounds, rows_g),
+        exact or with_trace, with_trace, profile_only, "outer_product",
+    )
 
-    T, P = geometry.tiles, geometry.pes_per_tile
 
-    # Row partitioning across tiles: equal-nnz (static balancing) or the
-    # naive equal-rows baseline (Fig. 7's "w/o partition" ablation).
-    if balanced:
-        row_counts = np.bincount(matrix.indices, minlength=matrix.n_rows)
-        row_ptr = np.zeros(matrix.n_rows + 1, dtype=np.int64)
-        np.cumsum(row_counts, out=row_ptr[1:])
-        tile_bounds = equal_nnz_row_bounds(row_ptr, T)
+@traced("kernel.outer_product_batch", capture=("hw_mode", "columns", "profile_only"))
+def outer_product_batch(
+    matrix: CSCMatrix,
+    frontiers: MultiVector,
+    semiring: Semiring,
+    geometry: Geometry,
+    hw_mode: HWMode = HWMode.PC,
+    params: HardwareParams = DEFAULT_PARAMS,
+    currents: Optional[Sequence[Optional[np.ndarray]]] = None,
+    balanced: bool = True,
+    columns: Optional[Sequence[int]] = None,
+    profile_only: bool = False,
+) -> List[SpMVResult]:
+    """Batched OP SpMV: one result per selected column, in ``columns`` order.
+
+    Parameters mirror :func:`outer_product`, with the sparse frontier
+    replaced by a :class:`MultiVector` (whose ``absent`` must match the
+    semiring's).  The union of the selected columns' active sets is
+    gathered from the CSC matrix once, and every column's entry stream is
+    sliced out of that union gather in exactly the order the
+    single-column ``gather_columns`` would produce, then run through the
+    same body as :func:`outer_product`.  The exact heap-merge path (and
+    with it trace generation) is single-column only.
+    """
+    _check_mode(hw_mode)
+    columns, currents = _check_batch_args(
+        frontiers, matrix.n_cols, semiring, columns, currents
+    )
+    tile_bounds = _tile_bounds(matrix, geometry.tiles, balanced)
+
+    # Union gather: each matrix column touched by *any* batch column is
+    # read once; per-column streams are segment slices of this gather.
+    sparse_cols = [frontiers.column_sparse(j) for j in columns]
+    if sparse_cols:
+        union = np.unique(np.concatenate([sv.indices for sv in sparse_cols]))
     else:
-        tile_bounds = equal_rows_bounds(matrix.n_rows, T)
+        union = np.zeros(0, dtype=np.int64)
+    rows_u, vals_u, col_of_u = matrix.gather_columns(union)
+    tile_of_u = _tile_of(tile_bounds, rows_u)
+    lens_u = matrix.column_lengths(union) if len(union) else np.zeros(0, dtype=np.int64)
+    starts_u = np.zeros(len(union) + 1, dtype=np.int64)
+    np.cumsum(lens_u, out=starts_u[1:])
 
+    results: List[SpMVResult] = []
+    _perf.kernel_batched_columns += len(columns)
+    for j, sv, current in zip(columns, sparse_cols, currents):
+        # Slice this column's entries out of the union gather.  Both the
+        # union and the column's index list are sorted, so concatenating
+        # the per-column segments in index order reproduces the
+        # single-column gather_columns(sv.indices) stream exactly.
+        pos_u = np.searchsorted(union, sv.indices)
+        lens = lens_u[pos_u]
+        total = int(lens.sum())
+        if total:
+            offsets = np.repeat(starts_u[pos_u], lens)
+            within = np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
+            sel = offsets + within
+        else:
+            sel = np.zeros(0, dtype=np.int64)
+        results.append(
+            _op_column(
+                matrix, sv, semiring, geometry, hw_mode, params, current,
+                tile_bounds, rows_u[sel], vals_u[sel], col_of_u[sel],
+                tile_of_u[sel], False, False, profile_only,
+                f"outer_product_batch[{j}]",
+            )
+        )
+    return results
+
+
+def _op_column(
+    matrix: CSCMatrix,
+    frontier: SparseVector,
+    semiring: Semiring,
+    geometry: Geometry,
+    hw_mode: HWMode,
+    params: HardwareParams,
+    current: Optional[np.ndarray],
+    tile_bounds: np.ndarray,
+    rows_g: np.ndarray,
+    vals_g: np.ndarray,
+    col_of: np.ndarray,
+    tile_of: np.ndarray,
+    exact: bool,
+    with_trace: bool,
+    profile_only: bool,
+    label: str,
+) -> SpMVResult:
+    """One sparse column through the OP kernel, given its gathered matrix
+    entries (``rows_g``/``vals_g``/``col_of``, in ``gather_columns``
+    order) and their owning tiles."""
+    T, P = geometry.tiles, geometry.pes_per_tile
     # Dynamic chunking of frontier non-zeros across PEs (by the LCP).
     chunks = frontier.chunk(P)
     chunk_starts = np.concatenate(
         [[0], np.cumsum([len(c[0]) for c in chunks])]
     ).astype(np.int64)
+    pos_of = np.searchsorted(frontier.indices, col_of)
 
     # ------------------------------------------------------------------
     # Functional result
     # ------------------------------------------------------------------
-    # The gathered structure (rows_g/col_of/pos_of) feeds the work
-    # statistics below whether or not the functional result is wanted.
-    rows_g, vals_g, col_of = matrix.gather_columns(frontier.indices)
-    pos_of = np.searchsorted(frontier.indices, col_of)
     if profile_only and not exact:
         _perf.kernel_profile_only += 1
         out = None
@@ -183,15 +296,12 @@ def outer_product(
     # ------------------------------------------------------------------
     # Per-(tile, PE) work statistics, vectorised over all touched entries
     # ------------------------------------------------------------------
-    tile_of = np.clip(
-        np.searchsorted(tile_bounds, rows_g, side="right") - 1, 0, T - 1
-    )
     elems, heads, pe_out, tile_out, cols_pe = _op_stats(
         matrix, rows_g, col_of, pos_of, tile_of, chunk_starts, chunks, T, P
     )
     _san = sanitize.active()
-    _san.check_histogram("outer_product/elements", elems, len(rows_g))
-    _san.check_histogram("outer_product/frontier", cols_pe, frontier.nnz)
+    _san.check_histogram(f"{label}/elements", elems, len(rows_g))
+    _san.check_histogram(f"{label}/frontier", cols_pe, frontier.nnz)
 
     profile = _build_op_profile(
         matrix,
@@ -224,7 +334,7 @@ def _op_stats(
     T: int,
     P: int,
 ):
-    """Per-(tile, PE) merge workload counts shared by single/batched OP."""
+    """Per-(tile, PE) merge workload counts."""
     pe_of = np.clip(
         np.searchsorted(chunk_starts, pos_of, side="right") - 1, 0, P - 1
     )

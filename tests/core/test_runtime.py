@@ -28,8 +28,13 @@ class TestOperand:
 
     def test_partition_cached(self, operand):
         g = Geometry(2, 4)
-        assert operand.ip_partition(g) is operand.ip_partition(g)
-        assert operand.ip_partition(g) is not operand.ip_partition(Geometry(2, 8))
+        assert operand.ip_structure(g) is operand.ip_structure(g)
+        assert operand.ip_structure(g) is not operand.ip_structure(Geometry(2, 8))
+        # keyed by the resolved vblock width: an override at or above the
+        # SPM-fit width resolves to the same structure
+        width = operand.ip_structure(g).width
+        assert operand.ip_structure(g, vblock_width=width) is operand.ip_structure(g)
+        assert operand.ip_structure(g, vblock_width=64) is not operand.ip_structure(g)
 
     def test_from_any(self, medium_coo):
         assert SpMVOperand.from_any(medium_coo).coo is medium_coo

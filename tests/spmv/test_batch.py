@@ -23,7 +23,7 @@ from repro.spmv import (
     spmv_semiring,
     sssp_semiring,
 )
-from repro.spmv.batch import _distinct_sorted
+from repro.spmv.inner import _distinct_sorted
 from repro.spmv.semiring import bfs_semiring
 from repro.workloads import random_frontier
 
@@ -187,6 +187,16 @@ class TestOuterBatch:
         with pytest.raises(ShapeError):
             outer_product_batch(
                 medium_csc, mv, sr, geom24, columns=[1]
+            )
+        # absent=0.0 columns under an absent=inf semiring
+        sources = MultiVector(
+            [random_frontier(medium_csc.n_cols, 0.001, seed=s) for s in (1, 2)]
+        )
+        dist = np.full(medium_csc.n_rows, np.inf)
+        with pytest.raises(ConfigurationError):
+            outer_product_batch(
+                medium_csc, sources, sssp_semiring(), geom24,
+                currents=[dist, dist],
             )
 
 
