@@ -92,10 +92,6 @@ R4_WALLCLOCK_ALLOWED_PREFIXES = (
     # times, coalescing windows, burst pacing); none of it touches the
     # modelled cycle counts, which stay bit-identical to direct calls.
     "repro/serve/",
-    # The sharded runtime times the host-side shard fan-out for its
-    # speedup report; interconnect time is modelled in cycles and the
-    # merged results stay bit-identical for any worker count.
-    "repro/cluster/",
 )
 
 #: numpy.random attributes that construct explicitly-seedable generators

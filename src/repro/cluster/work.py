@@ -20,60 +20,28 @@ it runs on the serial fallback path in the coordinator itself.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from ..core.runtime import CoSparseRuntime, SpMVOperand
-from ..errors import AlgorithmError
-from ..formats import COOMatrix, CSCMatrix, SparseVector
+from ..formats import SparseVector
 from ..hardware import HWMode
-from ..hardware.params import DEFAULT_PARAMS, HardwareParams
-from ..spmv.semiring import (
-    Semiring,
-    bfs_semiring,
-    pagerank_semiring,
-    spmv_semiring,
-    sssp_semiring,
+from ..hardware.params import DEFAULT_PARAMS
+from ..parallel.work import (
+    _coo_from,
+    _csc_from,
+    _params_from,
+    semiring_from_spec,
 )
 
-__all__ = ["SHARD_FN", "shard_step", "semiring_from_spec"]
+__all__ = ["SHARD_FN", "shard_step"]
 
 #: Task-function address for :class:`~repro.parallel.tasks.PricingTask`.
 SHARD_FN = "repro.cluster.work:shard_step"
 
 #: (run token, shard index) -> the shard's CoSparseRuntime, per process.
 _shard_runtimes: Dict[Tuple[str, int], CoSparseRuntime] = {}
-
-
-def semiring_from_spec(
-    spec: dict, arrays: Dict[str, np.ndarray]
-) -> Semiring:
-    """Rebuild a driver semiring from its JSON-able ``spec``.
-
-    The recipe arrays (``spec_arrays``) arrive under ``sr_``-prefixed
-    task-array names.  Every builder is a pure function of its inputs,
-    so the rebuilt semiring computes bit-identical results to the
-    coordinator's original.
-    """
-    kind = spec["kind"]
-    if kind == "spmv":
-        return spmv_semiring()
-    if kind == "bfs":
-        return bfs_semiring()
-    if kind == "sssp":
-        return sssp_semiring()
-    if kind == "pagerank":
-        return pagerank_semiring(arrays["sr_degrees"], alpha=spec["alpha"])
-    if kind == "pagerank_norm":
-        # Late import: repro.graphs imports the core runtime; binding at
-        # call time keeps the cluster package importable from anywhere.
-        from ..graphs.pagerank import pagerank_norm_semiring
-
-        return pagerank_norm_semiring(
-            arrays["sr_degrees"], spec["alpha"], int(spec["n"])
-        )
-    raise AlgorithmError(f"unknown semiring spec kind {kind!r}")
 
 
 def _runtime_for(
@@ -83,32 +51,10 @@ def _runtime_for(
     rt = _shard_runtimes.get(key)
     if rt is not None:
         return rt
-    n_rows, n_cols = payload["shape"]
-    coo = COOMatrix(
-        n_rows,
-        n_cols,
-        arrays["coo_rows"],
-        arrays["coo_cols"],
-        arrays["coo_vals"],
-        sort=False,
-        check=False,
-    )
-    csc = CSCMatrix(
-        n_rows,
-        n_cols,
-        arrays["csc_indptr"],
-        arrays["csc_indices"],
-        arrays["csc_vals"],
-        check=False,
-    )
-    params_spec = payload.get("params")
-    params = (
-        DEFAULT_PARAMS if params_spec is None else HardwareParams(**params_spec)
-    )
     rt = CoSparseRuntime(
-        SpMVOperand(coo, csc),
+        SpMVOperand(_coo_from(payload, arrays), _csc_from(payload, arrays)),
         payload["geometry"],
-        params=params,
+        params=_params_from(payload) or DEFAULT_PARAMS,
         policy=payload["policy"],
         static_config=(
             payload["static_algorithm"],

@@ -17,7 +17,12 @@ import numpy as np
 from ..formats import COOMatrix
 from ..graphs import Graph
 from ..parallel import PricingTask, SweepScheduler
-from ..parallel.work import coo_arrays, csc_arrays, semiring_for, system_for
+from ..parallel.work import (
+    coo_arrays,
+    csc_arrays,
+    semiring_from_spec,
+    system_for,
+)
 from ..spmv import inner_product, outer_product
 from ..workloads import (
     FIG4_DIMENSIONS,
@@ -68,7 +73,7 @@ def run_config(coo, csc, frontier, algorithm: str, mode, geometry, system=None):
     :func:`price_task` units instead; this stays as the one-off pricing
     entry point (examples, tests, ad-hoc exploration).
     """
-    semiring = semiring_for("spmv")
+    semiring = semiring_from_spec({"kind": "spmv"})
     system = system or system_for(geometry)
     if algorithm == "ip":
         result = inner_product(coo, frontier.to_dense(), semiring, geometry, mode)

@@ -160,7 +160,7 @@ def chrome_trace_events(source) -> List[dict]:
                 "ts": s["start_s"] * 1e6,
                 "dur": s["dur_s"] * 1e6,
                 "pid": 1,
-                "tid": 1,
+                "tid": s.get("worker", {}).get("pid", 1),
                 "args": args,
             }
         )
@@ -178,7 +178,7 @@ def chrome_trace_events(source) -> List[dict]:
                 "s": "t",
                 "ts": e["t_s"] * 1e6,
                 "pid": 1,
-                "tid": 1,
+                "tid": e.get("worker", {}).get("pid", 1),
                 "args": args,
             }
         )

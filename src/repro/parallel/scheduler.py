@@ -28,7 +28,11 @@ Execution strategy, in order:
    (:mod:`repro.parallel.shm`), small ones inline.  A worker death
    (``BrokenProcessPool``) or a per-task timeout triggers **graceful
    degradation**: the event is logged as an ``obs`` warning and every
-   unfinished task re-runs on the serial path.
+   unfinished task re-runs on the serial path.  Each finished task
+   returns the :data:`repro.perf.counters` deltas it caused and, when
+   tracing, its span/event records; both are folded into this process
+   (records grafted under the ``parallel.sweep`` span), so pooled and
+   serial runs count and trace alike.
 
 Worker count resolution: explicit ``jobs=`` argument, else the
 ``REPRO_JOBS`` environment variable, else ``os.cpu_count()``.
@@ -119,7 +123,7 @@ class SweepScheduler:
         )
         self.cache = PricingCache() if enabled else None
         #: Filled by :meth:`map`: dispatch/cache/fallback accounting of
-        #: the most recent run (mirrored into perf counters and obs).
+        #: the most recent run (also set on its ``parallel.sweep`` span).
         self.last_stats: Dict[str, float] = {}
         #: Persistent pool session: ``(ShmArena, ProcessPoolExecutor)``
         #: reused across :meth:`map` calls, or None (per-call pools).
@@ -180,9 +184,6 @@ class SweepScheduler:
         ) as span:
             results = self._map_inner(tasks)
             span.set(**self.last_stats)
-            if tracer.enabled:
-                for name, value in self.last_stats.items():
-                    tracer.metrics.inc(f"parallel.{name}", value)
         return results
 
     def _map_inner(self, tasks: List[PricingTask]) -> List[dict]:
@@ -254,6 +255,7 @@ class SweepScheduler:
             # the arena keeps every prior publish (id-memoised).
             workers = self.jobs
             arena, executor = session
+        tracer = _obs_active()
         unfinished = list(pending)
         busy_s = 0.0
         t_pool0 = time.perf_counter()
@@ -266,6 +268,7 @@ class SweepScheduler:
                         tasks[i].fn,
                         tasks[i].payload,
                         self._ship_arrays(arena, tasks[i].arrays),
+                        tracer.enabled,
                     )
                     futures[i] = executor.submit(_pool_entry_trampoline, spec)
                 # Collect in *completion* order: a straggler must not
@@ -290,13 +293,19 @@ class SweepScheduler:
                     for fut in done:
                         remaining.pop(fut)
                         try:
-                            index, result, task_s = fut.result()
+                            index, result, task_s, deltas, trace = (
+                                fut.result()
+                            )
                         except BrokenProcessPool:
                             failure = (
                                 "a pricing worker died (BrokenProcessPool)"
                             )
                             break
                         busy_s += task_s
+                        _perf.add(deltas)
+                        if trace is not None:
+                            pid, epoch_s, records = trace
+                            tracer.graft(records, epoch_s, pid=pid, task=index)
                         results[index] = result
                         unfinished.remove(index)
                         if keys[index] is not None and self.cache is not None:

@@ -11,8 +11,9 @@ Worker-side memos
 Pricing hundreds of points per sweep makes per-call construction the
 hot path, so the expensive invariants are cached per process:
 
-* :func:`semiring_for` — one :class:`~repro.spmv.semiring.Semiring` per
-  algebra (the old ``run_config`` built one per innermost loop call);
+* :func:`semiring_from_spec` — the one semiring factory: rebuilds a
+  :class:`~repro.spmv.semiring.Semiring` from its JSON-able spec and
+  keeps one instance per array-free algebra (``spmv``/``bfs``/``sssp``);
 * :func:`system_for` — one :class:`~repro.hardware.TransmuterSystem`
   per ``(geometry, params)``;
 * :func:`partition_for` — one :class:`~repro.spmv.inner.IPStructure`
@@ -32,14 +33,15 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from ..errors import AlgorithmError
 from ..formats import COOMatrix, CSCMatrix, SparseVector
 from ..hardware import Geometry, HWMode, TransmuterSystem
 from ..hardware.params import DEFAULT_PARAMS, HardwareParams
-from ..spmv import (
-    IPStructure,
-    inner_product,
-    ip_vblock_width,
-    outer_product,
+from ..spmv import IPStructure, inner_product, ip_vblock_width, outer_product
+from ..spmv.semiring import (
+    Semiring,
+    bfs_semiring,
+    pagerank_semiring,
     spmv_semiring,
     sssp_semiring,
 )
@@ -48,7 +50,7 @@ from ..workloads import random_frontier
 __all__ = [
     "execute",
     "resolve_arrays",
-    "semiring_for",
+    "semiring_from_spec",
     "system_for",
     "partition_for",
     "coo_arrays",
@@ -101,39 +103,78 @@ def pool_init() -> None:
     os.environ[_POOL_ENV] = "1"
 
 
-def pool_entry(spec) -> Tuple[int, dict, float]:
-    """Pool-side task entry: ``(index, fn, payload, arrays)`` in,
-    ``(index, result, busy_seconds)`` out.
+def pool_entry(spec) -> Tuple[int, dict, float, dict, Optional[tuple]]:
+    """Pool-side task entry.
 
-    The busy time is host wall clock (never model cycles); the
-    scheduler aggregates it into the worker-utilization metric.
+    ``(index, fn, payload, arrays, traced)`` in; ``(index, result,
+    busy_seconds, counter_deltas, trace)`` out.  The busy time is host
+    wall clock (never model cycles); the scheduler aggregates it into
+    the worker-utilization metric.  ``counter_deltas`` is what the task
+    added to this worker's :data:`repro.perf.counters` and ``trace`` is
+    ``(pid, tracer epoch, records)`` when the submitting process was
+    tracing (else None) — the scheduler folds both into the parent, so a
+    pooled run counts and traces like a serial one.
     """
     import time
 
-    index, fn, payload, arrays = spec
+    from ..obs.tracer import NullTracer, Tracer, override
+    from ..perf import counters
+
+    index, fn, payload, arrays, traced = spec
+    tracer = Tracer(label="worker") if traced else NullTracer()
+    before = counters.snapshot()
     t0 = time.perf_counter()
-    result = execute(fn, payload, arrays)
-    return index, result, time.perf_counter() - t0
+    with override(tracer):
+        result = execute(fn, payload, arrays)
+    busy_s = time.perf_counter() - t0
+    trace = (os.getpid(), tracer.epoch_s, tracer.records) if traced else None
+    return index, result, busy_s, counters.since(before), trace
 
 
 # ----------------------------------------------------------------------
 # Worker memos
 # ----------------------------------------------------------------------
-_semirings: Dict[str, object] = {}
+_semirings: Dict[str, Semiring] = {}
 _systems: Dict[Tuple, TransmuterSystem] = {}
 #: token-keyed IP structure memo:
 #: (token, tiles, pes, balanced, vblock width) -> IPStructure
 _partitions: Dict[Tuple, IPStructure] = {}
 
-_SEMIRING_BUILDERS = {"spmv": spmv_semiring, "sssp": sssp_semiring}
+#: Builders for the semirings whose spec needs no arrays (memoised).
+_ARRAY_FREE_SEMIRINGS = {
+    "spmv": spmv_semiring,
+    "bfs": bfs_semiring,
+    "sssp": sssp_semiring,
+}
 
 
-def semiring_for(name: str = "spmv"):
-    """The shared semiring instance for one algebra (built once)."""
-    semiring = _semirings.get(name)
-    if semiring is None:
-        semiring = _semirings[name] = _SEMIRING_BUILDERS[name]()
-    return semiring
+def semiring_from_spec(
+    spec: dict, arrays: Optional[Dict[str, np.ndarray]] = None
+) -> Semiring:
+    """Rebuild a driver semiring from its JSON-able ``spec``.
+
+    Array-free kinds are built once per process and shared.  The recipe
+    arrays of the others (``Semiring.spec_arrays``) arrive under
+    ``sr_``-prefixed task-array names.  Every builder is a pure function
+    of its inputs, so the rebuilt semiring computes bit-identical
+    results to the coordinator's original.
+    """
+    kind = spec["kind"]
+    if kind in _ARRAY_FREE_SEMIRINGS:
+        semiring = _semirings.get(kind)
+        if semiring is None:
+            semiring = _semirings[kind] = _ARRAY_FREE_SEMIRINGS[kind]()
+        return semiring
+    if kind == "pagerank":
+        return pagerank_semiring(arrays["sr_degrees"], alpha=spec["alpha"])
+    if kind == "pagerank_norm":
+        # Late import: repro.graphs sits above this module in the DAG.
+        from ..graphs.pagerank import pagerank_norm_semiring
+
+        return pagerank_norm_semiring(
+            arrays["sr_degrees"], spec["alpha"], int(spec["n"])
+        )
+    raise AlgorithmError(f"unknown semiring spec kind {kind!r}")
 
 
 def _params_key(params: Optional[HardwareParams]) -> Optional[tuple]:
@@ -266,7 +307,7 @@ def price_config(payload: dict, arrays: Dict[str, np.ndarray]) -> dict:
     geometry = Geometry.parse(payload["geometry"])
     params = _params_from(payload)
     system = system_for(payload["geometry"], params)
-    semiring = semiring_for(payload.get("semiring", "spmv"))
+    semiring = semiring_from_spec({"kind": payload.get("semiring", "spmv")})
     mode = HWMode[payload["mode"]]
     frontier = _frontier_from(payload, arrays)
     current = arrays.get("current")

@@ -3,9 +3,12 @@
 Two concerns live here:
 
 * **Counters** — a process-global :class:`PerfCounters` instance that the
-  kernels and the trace-replay engine increment (functional executions
-  vs. profile-only pricings, words replayed through the cache simulator)
-  plus named wall-clock accumulators via :func:`timed`.  Tests use the
+  kernels, the sweep scheduler, the autotuner and the cluster runtime
+  increment (functional executions vs. profile-only pricings, words
+  replayed through the cache simulator, pricing-cache outcomes, ...).
+  The dataclass fields are the one list of counter names: ``reset``,
+  ``snapshot``, the tracer's per-span deltas and the pool workers'
+  returned deltas all derive from :data:`COUNTER_NAMES`.  Tests use the
   counters to pin invariants like "the oracle policy executes exactly one
   functional kernel per invocation".
 * **The microbench** — ``python -m repro.perf`` (the ``make perf``
@@ -23,11 +26,10 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass, fields
+from typing import Dict
 
-__all__ = ["PerfCounters", "counters", "timed", "microbench", "main"]
+__all__ = ["PerfCounters", "COUNTER_NAMES", "counters", "microbench", "main"]
 
 
 @dataclass
@@ -91,8 +93,6 @@ class PerfCounters:
     cluster_exchange_bytes:
         Modeled frontier-exchange traffic charged through the cluster
         interconnect, in bytes.
-    wall_seconds:
-        Named wall-clock accumulators fed by :func:`timed`.
     """
 
     kernel_executions: int = 0
@@ -112,80 +112,36 @@ class PerfCounters:
     cluster_spmv_calls: int = 0
     cluster_shard_tasks: int = 0
     cluster_exchange_bytes: int = 0
-    wall_seconds: Dict[str, float] = field(default_factory=dict)
 
     def reset(self) -> None:
         """Zero everything (tests bracket measurements with this)."""
-        self.kernel_executions = 0
-        self.kernel_profile_only = 0
-        self.kernel_batched_columns = 0
-        self.kernel_probe_discarded = 0
-        self.trace_accesses = 0
-        self.pricing_tasks = 0
-        self.pricing_cache_hits = 0
-        self.pricing_cache_misses = 0
-        self.pricing_fallbacks = 0
-        self.tuning_runs = 0
-        self.tuning_candidates = 0
-        self.tuning_plan_cache_hits = 0
-        self.tuning_plan_cache_misses = 0
-        self.tuning_plans_applied = 0
-        self.cluster_spmv_calls = 0
-        self.cluster_shard_tasks = 0
-        self.cluster_exchange_bytes = 0
-        self.wall_seconds.clear()
+        for name in COUNTER_NAMES:
+            setattr(self, name, 0)
 
-    def add_time(self, name: str, seconds: float) -> None:
-        self.wall_seconds[name] = self.wall_seconds.get(name, 0.0) + seconds
+    def snapshot(self) -> Dict[str, int]:
+        """A plain-dict copy (safe to stash, diff and pickle)."""
+        return {name: getattr(self, name) for name in COUNTER_NAMES}
 
-    def snapshot(self) -> dict:
-        """A plain-dict copy (safe to stash and diff)."""
-        return {
-            "kernel_executions": self.kernel_executions,
-            "kernel_profile_only": self.kernel_profile_only,
-            "kernel_batched_columns": self.kernel_batched_columns,
-            "kernel_probe_discarded": self.kernel_probe_discarded,
-            "trace_accesses": self.trace_accesses,
-            "pricing_tasks": self.pricing_tasks,
-            "pricing_cache_hits": self.pricing_cache_hits,
-            "pricing_cache_misses": self.pricing_cache_misses,
-            "pricing_fallbacks": self.pricing_fallbacks,
-            "tuning_runs": self.tuning_runs,
-            "tuning_candidates": self.tuning_candidates,
-            "tuning_plan_cache_hits": self.tuning_plan_cache_hits,
-            "tuning_plan_cache_misses": self.tuning_plan_cache_misses,
-            "tuning_plans_applied": self.tuning_plans_applied,
-            "cluster_spmv_calls": self.cluster_spmv_calls,
-            "cluster_shard_tasks": self.cluster_shard_tasks,
-            "cluster_exchange_bytes": self.cluster_exchange_bytes,
-            "wall_seconds": dict(self.wall_seconds),
-        }
+    def since(self, before: Dict[str, int]) -> Dict[str, int]:
+        """The non-zero changes since the :meth:`snapshot` ``before``."""
+        deltas = {}
+        for name, value in before.items():
+            diff = getattr(self, name) - value
+            if diff:
+                deltas[name] = diff
+        return deltas
 
+    def add(self, deltas: Dict[str, int]) -> None:
+        """Fold in deltas counted elsewhere (a pool worker's :meth:`since`)."""
+        for name, diff in deltas.items():
+            setattr(self, name, getattr(self, name) + diff)
+
+
+#: Every counter's name, in field order: the one list of counters.
+COUNTER_NAMES = tuple(f.name for f in fields(PerfCounters))
 
 #: The process-global instance every subsystem increments.
 counters = PerfCounters()
-
-
-@contextmanager
-def timed(name: str, store: Optional[PerfCounters] = None):
-    """Accumulate the block's wall-clock time under ``name``.
-
-    When a tracer is live (:mod:`repro.obs`) the measured duration is
-    also recorded as a ``wall.<name>`` observation in its metrics
-    registry, so exported runs subsume these accumulators.
-    """
-    from .obs.tracer import active as _obs_active  # late: avoids a cycle
-
-    store = store if store is not None else counters
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        dt = time.perf_counter() - t0
-        store.add_time(name, dt)
-        tracer = _obs_active()
-        if tracer.enabled:
-            tracer.metrics.observe(f"wall.{name}", dt)
 
 
 # ----------------------------------------------------------------------

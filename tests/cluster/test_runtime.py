@@ -91,13 +91,17 @@ class TestExchange:
         assert rt.log.total_bytes == 0
 
     def test_perf_counters(self, twitter):
-        counters.reset()
-        rt = ShardedRuntime(twitter.operand, 4, jobs=1)
-        _run(pagerank, twitter, runtime=rt)
-        assert counters.cluster_spmv_calls == len(rt.log)
-        assert counters.cluster_shard_tasks == 4 * len(rt.log)
-        assert counters.cluster_exchange_bytes == rt.log.total_bytes
-        assert rt.log.total_bytes > 0
+        base = _run(pagerank, twitter)
+        for jobs in (1, 2):
+            counters.reset()
+            with ShardedRuntime(twitter.operand, 4, jobs=jobs) as rt:
+                _run(pagerank, twitter, runtime=rt)
+            # pool workers' kernel counts are folded back into this process
+            assert counters.kernel_executions == 4 * len(base.log), jobs
+            assert counters.cluster_spmv_calls == len(rt.log)
+            assert counters.cluster_shard_tasks == 4 * len(rt.log)
+            assert counters.cluster_exchange_bytes == rt.log.total_bytes
+            assert rt.log.total_bytes > 0
 
     def test_custom_link_scales_cost(self, twitter):
         slow = ShardedRuntime(

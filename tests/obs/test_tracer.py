@@ -14,7 +14,9 @@ from repro.obs import (
     traced,
 )
 from repro.obs.tracer import _NULL_SPAN
-from repro.perf import counters, timed
+from repro.obs import flight
+from repro.obs.flight import FlightRecorder
+from repro.perf import counters
 
 
 class TestNullObject:
@@ -99,13 +101,58 @@ class TestSpans:
         with tracer.span("work"):
             counters.kernel_executions += 2
             counters.kernel_probe_discarded += 1
+            counters.cluster_shard_tasks += 4
         counters.kernel_executions -= 2
         counters.kernel_probe_discarded -= 1
+        counters.cluster_shard_tasks -= 4
         (rec,) = tracer.span_records()
         assert rec["counters"] == {
             "kernel_executions": 2,
             "kernel_probe_discarded": 1,
+            "cluster_shard_tasks": 4,
         }
+
+    def test_every_counter_field_is_recorded(self):
+        tracer = Tracer()
+        before = counters.snapshot()
+        with tracer.span("work"):
+            for name in before:
+                setattr(counters, name, getattr(counters, name) + 1)
+        for name, value in before.items():
+            setattr(counters, name, value)
+        (rec,) = tracer.span_records()
+        assert rec["counters"] == {name: 1 for name in before}
+
+    def test_graft_adopts_worker_records(self):
+        worker = Tracer(label="worker")
+        with worker.span("kernel.ip"):
+            with worker.span("inner"):
+                pass
+        worker.event(WarningEvent(source="w", message="m"))
+        starts = {
+            r["name"]: r["start_s"] + worker.epoch_s
+            for r in worker.span_records()
+        }
+        tracer = Tracer()
+        ring = FlightRecorder(capacity=8)
+        with flight.override(ring):
+            with tracer.span("parallel.sweep") as sweep:
+                tracer.graft(worker.records, worker.epoch_s, pid=7, task=3)
+        spans = {s["name"]: s for s in tracer.span_records()}
+        assert spans["kernel.ip"]["parent"] == sweep.span_id
+        assert spans["inner"]["parent"] == spans["kernel.ip"]["id"]
+        assert len({s["id"] for s in spans.values()}) == 3
+        for name, start in starts.items():
+            assert spans[name]["start_s"] + tracer.epoch_s == pytest.approx(
+                start
+            )
+            assert spans[name]["worker"] == {"pid": 7, "task": 3}
+        (event,) = tracer.event_records("warning")
+        assert event["worker"] == {"pid": 7, "task": 3}
+        # the three grafted records, then the enclosing sweep span
+        assert [r.get("name", r.get("event")) for r in ring.snapshot()] == [
+            "inner", "kernel.ip", "warning", "parallel.sweep",
+        ]
 
     def test_exception_marks_span(self):
         tracer = Tracer()
@@ -171,11 +218,3 @@ class TestMetrics:
         assert obs["min"] == 0.5
         assert obs["max"] == 1.5
 
-    def test_timed_feeds_tracer_metrics(self):
-        tracer = Tracer()
-        with override(tracer):
-            with timed("unit_test_block"):
-                pass
-        snap = tracer.metrics.snapshot()
-        assert "wall.unit_test_block" in snap["observations"]
-        counters.wall_seconds.pop("unit_test_block", None)

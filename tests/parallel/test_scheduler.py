@@ -5,6 +5,8 @@ tiny (one matrix, one geometry) so they stay inside the fast subset
 even on a single-core machine.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.experiments import run_fig4
@@ -228,3 +230,33 @@ class TestSpanIntegration:
         assert attrs["label"] == "fig4"
         assert attrs["jobs"] == 1
         assert attrs["dispatched"] == attrs["tasks"]
+
+    def test_pooled_run_counts_and_traces_like_serial(self, cold_cache):
+        """Pool workers' counter deltas and spans reach this process."""
+        seen = {}
+        for jobs in (1, 2):
+            counters.reset()
+            with override(Tracer(label=f"jobs{jobs}")) as tracer:
+                run_fig4(jobs=jobs, **_GRID)
+            kernels = Counter(
+                s["name"]
+                for s in tracer.span_records()
+                if s["name"].startswith("kernel.")
+            )
+            seen[jobs] = (counters.snapshot(), kernels, tracer)
+        serial, serial_kernels, _ = seen[1]
+        pooled, pooled_kernels, tracer = seen[2]
+        assert serial["kernel_executions"] > 0
+        assert pooled == serial
+        assert pooled_kernels == serial_kernels
+        spans = tracer.span_records()
+        assert len({s["id"] for s in spans}) == len(spans)
+        (sweep,) = [s for s in spans if s["name"] == "parallel.sweep"]
+        grafted = [s for s in spans if "worker" in s]
+        assert grafted
+        assert {s["worker"]["task"] for s in grafted} == set(
+            range(sweep["attrs"]["tasks"])
+        )
+        ids = {s["id"] for s in grafted}
+        for s in grafted:
+            assert s["parent"] == sweep["id"] or s["parent"] in ids

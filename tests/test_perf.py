@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.perf` — counters, timers, and the microbench."""
+"""Tests for :mod:`repro.perf` — counters and the microbench."""
 
 import json
 
@@ -21,20 +21,24 @@ class TestCounters:
     def test_reset_zeroes_everything(self):
         perf.counters.kernel_executions = 3
         perf.counters.trace_accesses = 7
-        perf.counters.add_time("x", 0.5)
+        perf.counters.cluster_exchange_bytes = 5
         perf.counters.reset()
         snap = perf.counters.snapshot()
-        assert snap["kernel_executions"] == 0
-        assert snap["trace_accesses"] == 0
-        assert snap["wall_seconds"] == {}
+        assert snap == {name: 0 for name in perf.COUNTER_NAMES}
 
-    def test_timed_accumulates(self):
-        with perf.timed("block"):
-            pass
-        with perf.timed("block"):
-            pass
-        assert perf.counters.wall_seconds["block"] >= 0.0
-        assert len(perf.counters.wall_seconds) == 1
+    def test_snapshot_covers_every_field(self):
+        assert tuple(perf.counters.snapshot()) == perf.COUNTER_NAMES
+        assert "cluster_shard_tasks" in perf.COUNTER_NAMES
+
+    def test_since_and_add_round_trip(self):
+        before = perf.counters.snapshot()
+        perf.counters.kernel_executions += 3
+        perf.counters.cluster_spmv_calls += 1
+        deltas = perf.counters.since(before)
+        assert deltas == {"kernel_executions": 3, "cluster_spmv_calls": 1}
+        perf.counters.add(deltas)
+        assert perf.counters.kernel_executions == 6
+        assert perf.counters.cluster_spmv_calls == 2
 
     def test_trace_replay_counts_accesses(self):
         cache = BankedCache(2, DEFAULT_PARAMS)
