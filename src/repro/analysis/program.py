@@ -22,6 +22,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from ..env import cache_dir
 from .callgraph import CallGraph
 from .dataflow import ModuleContext, ModuleSummary, analyze_module
 from .findings import Finding
@@ -32,9 +33,6 @@ __all__ = ["ENGINE_VERSION", "ModelCache", "ProgramModel"]
 #: in a way that invalidates cached per-file results.
 ENGINE_VERSION = "2.1"
 
-#: Cache directory env override (shared with the workload/tune caches).
-_CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-_DEFAULT_CACHE_DIR = ".repro_cache"
 _CACHE_FILENAME = "lint-model.json"
 
 
@@ -43,7 +41,7 @@ class ModelCache:
 
     def __init__(self, root: Optional[str] = None):
         if root is None:
-            root = os.environ.get(_CACHE_DIR_ENV, _DEFAULT_CACHE_DIR)
+            root = cache_dir()
         self.root = root
         self.path = os.path.join(root, _CACHE_FILENAME)
 

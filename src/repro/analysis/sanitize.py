@@ -27,10 +27,10 @@ with the :func:`override` context manager.
 from __future__ import annotations
 
 import math
-import os
 from contextlib import contextmanager
 from typing import Optional
 
+from ..env import env_flag
 from ..errors import SimulationError
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 _ENV_VAR = "REPRO_SANITIZE"
-_FALSEY = {"", "0", "false", "off", "no"}
 
 #: Tri-state override installed by :func:`override`; None defers to env.
 _forced: Optional[bool] = None
@@ -53,7 +52,7 @@ def enabled() -> bool:
     """Whether sanitizer checks are live (env var or test override)."""
     if _forced is not None:
         return _forced
-    return os.environ.get(_ENV_VAR, "").strip().lower() not in _FALSEY
+    return env_flag(_ENV_VAR, False)
 
 
 @contextmanager

@@ -57,6 +57,7 @@ _CONV_CYCLES_PER_WORD = 1.0
 
 _POLICIES = ("tree", "oracle", "static", "adaptive")
 _OBJECTIVES = ("time", "energy")
+_FIDELITIES = ("analytic", "trace")
 
 #: Adaptive policy: probe both algorithms when the frontier density is
 #: within this factor of the current crossover estimate...
@@ -140,10 +141,10 @@ class CoSparseRuntime:
         extension; on this substrate the two mostly coincide because
         static power makes energy track time).
     fidelity:
-        Hardware pricing mode (see
-        :class:`~repro.hardware.system.TransmuterSystem`).
-    with_trace:
-        Generate exact address traces (small inputs only).
+        ``"analytic"`` (closed-form pricing, any size) or ``"trace"``
+        (the kernels emit exact address traces, which
+        :class:`~repro.hardware.system.TransmuterSystem` replays through
+        modelled caches — small inputs only).
     plan:
         A :class:`~repro.tune.plan.TuningPlan` to apply: the operand is
         permuted into the plan's schedule-stable vertex order and the
@@ -167,7 +168,6 @@ class CoSparseRuntime:
         thresholds: Optional[DecisionThresholds] = None,
         fidelity: str = "analytic",
         balanced: bool = True,
-        with_trace: bool = False,
         objective: str = "time",
         plan=None,
         auto_tune: bool = False,
@@ -176,6 +176,10 @@ class CoSparseRuntime:
             raise ConfigurationError(f"policy must be one of {_POLICIES}")
         if objective not in _OBJECTIVES:
             raise ConfigurationError(f"objective must be one of {_OBJECTIVES}")
+        if fidelity not in _FIDELITIES:
+            raise ConfigurationError(
+                f"fidelity must be one of {_FIDELITIES}, got {fidelity!r}"
+            )
         self.geometry = (
             Geometry.parse(geometry) if isinstance(geometry, str) else geometry
         )
@@ -197,9 +201,9 @@ class CoSparseRuntime:
         self.policy = policy
         self.static_config = static_config
         self.balanced = balanced
-        self.with_trace = with_trace
+        self.fidelity = fidelity
         self.objective = objective
-        self.system = TransmuterSystem(self.geometry, params, fidelity=fidelity)
+        self.system = TransmuterSystem(self.geometry, params)
         self.tree = DecisionTree(self.geometry, params, thresholds)
         self.log = ReconfigurationLog(clock_hz=params.clock_hz)
         self._iteration = 0
@@ -309,7 +313,7 @@ class CoSparseRuntime:
                 current=current,
                 structure=self._ip_structure(semiring),
                 balanced=self.balanced,
-                with_trace=self.with_trace,
+                with_trace=self.fidelity == "trace",
                 profile_only=profile_only,
                 vblock_width=self._vblock_width,
             )
@@ -323,7 +327,7 @@ class CoSparseRuntime:
                 hw_mode=mode,
                 params=self.params,
                 current=current,
-                with_trace=self.with_trace,
+                with_trace=self.fidelity == "trace",
                 profile_only=profile_only,
             )
         return result, cost
@@ -366,7 +370,7 @@ class CoSparseRuntime:
         Returns ``(best algo, best mode, reports, probe)`` where
         ``probe`` is the winner's ``(SpMVResult, ConversionCost)``.  The
         probe normally carries only the profile; when the kernel had to
-        execute anyway (OP under ``with_trace`` runs the exact merge),
+        execute anyway (OP under trace fidelity runs the exact merge),
         its functional result rides along and :meth:`spmv` reuses it.
         """
         tracer = _obs_active()
@@ -614,10 +618,10 @@ class CoSparseRuntime:
         -------
         list of :class:`SpMVResult`, in the input column order.
         """
-        if self.with_trace:
+        if self.fidelity == "trace":
             raise ConfigurationError(
                 "spmv_batch does not generate address traces; use "
-                "sequential spmv() for trace capture"
+                "sequential spmv() under trace fidelity"
             )
         if semiring.value_words != 1:
             raise ConfigurationError(
@@ -770,7 +774,7 @@ class CoSparseRuntime:
             "geometry": self.geometry.name,
             "policy": self.policy,
             "objective": self.objective,
-            "fidelity": self.system.fidelity,
+            "fidelity": self.fidelity,
             "balanced": self.balanced,
             "static_config": [
                 self.static_config[0],

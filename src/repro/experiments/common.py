@@ -9,11 +9,11 @@ default and the full paper grid when ``REPRO_FULL=1``.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..env import cache_dir, env_flag
 from ..formats import COOMatrix
 from ..graphs import Graph
 from ..parallel import PricingTask, SweepScheduler
@@ -122,14 +122,9 @@ def sweep_tasks(
     return SweepScheduler(jobs=jobs, label=label).map(tasks)
 
 
-def cache_dir() -> str:
-    """Workload cache directory (created on first use)."""
-    return os.environ.get("REPRO_CACHE_DIR", os.path.abspath(".repro_cache"))
-
-
 def full_runs_enabled() -> bool:
     """Whether benches should run the full paper grid (REPRO_FULL=1)."""
-    return os.environ.get("REPRO_FULL", "0") not in ("0", "", "false")
+    return env_flag("REPRO_FULL", False)
 
 
 def fig4_matrix(index: int, scale: int = 1, seed: int = 1) -> COOMatrix:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -10,6 +9,7 @@ import numpy as np
 
 from ..core.reconfig import ReconfigurationLog
 from ..core.runtime import CoSparseRuntime
+from ..env import env_flag
 from ..obs.tracer import active as _obs_active
 from .frontier import FrontierTrace
 from .graph import Graph
@@ -27,12 +27,11 @@ __all__ = [
 #: Environment switch (``python -m repro --tune`` sets it): every driver
 #: -built runtime autotunes its operand.
 _TUNE_ENV = "REPRO_TUNE"
-_FALSEY = ("", "0", "false", "off", "no")
 
 
 def tune_requested() -> bool:
     """Whether ``REPRO_TUNE`` asks driver-built runtimes to autotune."""
-    return os.environ.get(_TUNE_ENV, "").strip().lower() not in _FALSEY
+    return env_flag(_TUNE_ENV, False)
 
 
 def algorithm_span(name: str, graph: Graph, **attrs):

@@ -8,8 +8,12 @@ loaded through :mod:`ctypes` (no Python headers or build system needed).
 
 The shared object is cached under the system temp directory, keyed by a
 hash of the source, so the one-time compile cost (~1 s) is paid once per
-machine.  Any failure — no toolchain, sandboxed filesystem, a broken
-compiler — downgrades silently to the numpy engine.  Set
+user and machine.  The cache directory is per user, and it is loaded from
+only while it is owned by the user with mode 0700 and the object is
+writable by no one else: another local user must not be able to plant
+code for :mod:`ctypes` to load.  Any failure — an unsafe cache directory,
+no toolchain, sandboxed filesystem, a broken compiler — downgrades
+silently to the numpy engine.  Set
 ``REPRO_NATIVE=0`` to disable the native path outright (the differential
 tests use this to pin down which engine they exercise).
 """
@@ -20,11 +24,14 @@ import ctypes
 import hashlib
 import os
 import shutil
+import stat
 import subprocess
 import tempfile
 from typing import Optional
 
 import numpy as np
+
+from ..env import env_flag
 
 __all__ = ["available", "replay"]
 
@@ -89,7 +96,7 @@ _kernel = None
 
 
 def _enabled() -> bool:
-    return os.environ.get("REPRO_NATIVE", "1").lower() not in ("0", "false", "no")
+    return env_flag("REPRO_NATIVE", True)
 
 
 def _find_compiler() -> Optional[str]:
@@ -101,16 +108,38 @@ def _find_compiler() -> Optional[str]:
     return None
 
 
+def _owned_private(path: str, closed_bits: int, is_kind) -> bool:
+    """Whether ``path`` itself (no symlink) passes ``is_kind``, is owned
+    by this user and has none of the ``closed_bits`` mode bits."""
+    try:
+        st = os.lstat(path)
+    except OSError:
+        return False
+    mode = st.st_mode
+    return is_kind(mode) and st.st_uid == os.getuid() and not mode & closed_bits
+
+
+def _build_dir() -> Optional[str]:
+    """This user's build directory, or None when it is not private."""
+    path = os.path.join(tempfile.gettempdir(), f"repro-native-{os.getuid()}")
+    try:
+        os.mkdir(path, 0o700)
+    except FileExistsError:
+        pass
+    return path if _owned_private(path, 0o077, stat.S_ISDIR) else None
+
+
 def _build():
     cc = _find_compiler()
     if cc is None:
         return False
+    build_dir = _build_dir()
+    if build_dir is None:
+        return False
     digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
-    cache_dir = os.path.join(tempfile.gettempdir(), "repro-native")
-    so_path = os.path.join(cache_dir, f"lru_{digest}.so")
+    so_path = os.path.join(build_dir, f"lru_{digest}.so")
     if not os.path.exists(so_path):
-        os.makedirs(cache_dir, exist_ok=True)
-        src_path = os.path.join(cache_dir, f"lru_{digest}.c")
+        src_path = os.path.join(build_dir, f"lru_{digest}.c")
         with open(src_path, "w") as f:
             f.write(_C_SOURCE)
         tmp_path = f"{so_path}.{os.getpid()}.tmp"
@@ -120,7 +149,10 @@ def _build():
             capture_output=True,
             timeout=120,
         )
+        os.chmod(tmp_path, 0o700)
         os.replace(tmp_path, so_path)  # atomic: concurrent builds race safely
+    if not _owned_private(so_path, 0o022, stat.S_ISREG):
+        return False
     lib = ctypes.CDLL(so_path)
     fn = lib.lru_replay
     fn.restype = None

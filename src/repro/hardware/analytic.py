@@ -22,7 +22,7 @@ are split across the cores cooperating on it (a tile collectively takes
 one cold miss per vector line, not one per PE — this is also how tiles
 "fetch the vector elements for the other tiles into L2", Section III-B).
 
-Latency composition is shared with the trace engine
+Everything after the hit rates is shared with the trace engine
 (:mod:`repro.hardware.latency`): hits cost the issue slot plus
 unhideable crossbar serialisation; miss latency is discounted by the
 pattern's hide fraction (prefetchable stream / independent gather /
@@ -36,15 +36,15 @@ tile unless the HBM bandwidth floor is higher.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .geometry import Geometry
 from .hwconfig import HWMode, Sharing
-from .latency import compose_latency, shared_conflict_cycles
+from .latency import Tally, compose_latency, l1_base_latency, spm_latency
 from .params import HardwareParams
 from .profile import AccessStream, KernelProfile, Pattern, Region
-from .stats import MemCounters, RunReport, TileReport
+from .stats import RunReport
 
 __all__ = ["AnalyticModel"]
 
@@ -128,18 +128,6 @@ def _miss_bearing(stream: AccessStream) -> float:
 _STORE_COST = 1.0
 
 
-@dataclass
-class _StreamVerdict:
-    """Per-stream pricing detail (kept in RunReport.detail)."""
-
-    region: str
-    count: float
-    latency: float
-    l1_hit_rate: float
-    l2_hit_rate: float
-    spm: bool
-
-
 class AnalyticModel:
     """Prices kernel profiles on a given geometry/parameter set."""
 
@@ -148,59 +136,18 @@ class AnalyticModel:
         self.params = params
 
     # ------------------------------------------------------------------
-    # Latency building blocks (also used by the trace engine)
-    # ------------------------------------------------------------------
-    def _spm_latency(self, mode: HWMode) -> float:
-        """Visible cycles of one scratchpad access under ``mode``.
-
-        A pipelined in-order core hides the 1-2 cycle response behind the
-        issue slot; visible are the issue cycle, the software
-        SPM-management overhead and — for the shared SPM — crossbar
-        serialisation (in SCS roughly P/2 requesters contend for the P/2
-        SPM banks).
-        """
-        p = self.params
-        if mode is HWMode.SCS:
-            half = max(self.geometry.pes_per_tile // 2, 1)
-            serial = shared_conflict_cycles(half, half, p) - p.xbar_arbitration
-            return 1.0 + p.spm_management_overhead + max(serial, 0.0)
-        return 1.0 + p.spm_management_overhead
-
-    def _l1_base_latency(self, mode: HWMode) -> float:
-        """Visible cycles of an L1 cache-path access that hits."""
-        p = self.params
-        if mode.l1_sharing is Sharing.SHARED:
-            requesters = self.geometry.pes_per_tile
-            banks = self.geometry.l1_banks_per_tile
-            if mode is HWMode.SCS:  # traffic and banks both halve
-                requesters = max(requesters // 2, 1)
-                banks = max(banks // 2, 1)
-            serial = shared_conflict_cycles(requesters, banks, p) - (
-                p.xbar_arbitration
-            )
-            return 1.0 + max(serial, 0.0)
-        return 1.0
-
-    # ------------------------------------------------------------------
     def evaluate(self, profile: KernelProfile) -> RunReport:
         """Price one kernel invocation; returns cycles + counters."""
         geom, params, mode = self.geometry, self.params, profile.mode
-        counters = MemCounters()
-        tile_reports: List[TileReport] = []
-        dram_seq = 0.0
-        dram_rand = 0.0
-        verdicts: List[_StreamVerdict] = []
+        tally = Tally(geom, params)
+        counters = tally.counters
         line = params.cache_line_words
-        l1_base = self._l1_base_latency(mode)
-        spm_lat = self._spm_latency(mode)
+        l1_base = l1_base_latency(mode, geom, params)
+        spm_lat = spm_latency(mode, geom, params)
         l1_capacity = mode.l1_cache_words(geom, params)
         l2_capacity = mode.l2_words(geom, params)
         l1_shared = mode.l1_sharing is Sharing.SHARED
         l2_shared = mode.l2_sharing is Sharing.SHARED
-        fill_rate = max(
-            params.spm_fill_cycles_per_word,
-            geom.tiles / params.dram_words_per_cycle,
-        )
 
         # ---- Stage 1: L1 hit rates per tile --------------------------
         # staged[t] = (per-PE [(stream, h1, m1)], spm info)
@@ -329,11 +276,6 @@ class AnalyticModel:
                         counters.spm_accesses += s.count
                         if mode is HWMode.SCS:
                             counters.xbar_hops += s.count
-                        verdicts.append(
-                            _StreamVerdict(
-                                s.region.name, s.count, spm_lat, 1.0, 1.0, True
-                            )
-                        )
                         continue
                     key = (t_idx if not l2_shared else -1, int(s.region))
                     h2 = l2_rate.get(key, 1.0)
@@ -357,62 +299,12 @@ class AnalyticModel:
                     writeback = fill if s.writes > 0 else 0.0
                     counters.dram_words += fill + writeback
                     if s.pattern == Pattern.SEQUENTIAL:
-                        dram_seq += fill + writeback
+                        tally.dram_seq += fill + writeback
                     else:
-                        dram_rand += fill + writeback
+                        tally.dram_rand += fill + writeback
                     if l1_shared:
                         counters.xbar_hops += s.count
                     counters.xbar_hops += m1
-                    verdicts.append(
-                        _StreamVerdict(s.region.name, s.count, lat, h1, h2, False)
-                    )
-                visible_fill = fill_rate * (1.0 - params.spm_fill_overlap)
-                if pe.spm_fill_words:
-                    cycles += pe.spm_fill_words * visible_fill
-                    counters.dram_words += pe.spm_fill_words
-                    counters.spm_accesses += pe.spm_fill_words
-                    dram_seq += pe.spm_fill_words
-                if tile.spm_fill_words:
-                    # Shared-SPM fill: PEs wait out the un-overlapped part.
-                    cycles += tile.spm_fill_words * visible_fill
-                pe_cycles.append(cycles)
-
-            # --- LCP serial tail ----------------------------------------
-            out_rows = tile.lcp_output_words / 2.0  # (index, value) pairs
-            lcp_cycles = (
-                tile.lcp_serial_elements * params.lcp_cycles_per_element
-                + out_rows * params.lcp_rmw_cycles_per_row
-                + tile.lcp_compute_ops
-            )
-            counters.lcp_ops += tile.lcp_serial_elements * 4 + tile.lcp_compute_ops
-            # RMW traffic: read the old row value, write the new one.
-            dram_rand += out_rows
-            counters.dram_words += out_rows + tile.lcp_output_words
-            dram_seq += tile.lcp_output_words
-            if tile.spm_fill_words:
-                counters.dram_words += tile.spm_fill_words
-                counters.spm_accesses += tile.spm_fill_words
-                dram_seq += tile.spm_fill_words
-            tile_reports.append(TileReport(pe_cycles=pe_cycles, lcp_cycles=lcp_cycles))
-
-        compute_cycles = max(t.cycles for t in tile_reports)
-        bw_cycles = (
-            dram_seq / params.dram_words_per_cycle
-            + dram_rand
-            / (params.dram_words_per_cycle * params.dram_random_efficiency)
-        )
-        total = max(compute_cycles, bw_cycles) + profile.fixed_overhead_cycles
-        return RunReport(
-            cycles=total,
-            counters=counters,
-            tile_reports=tile_reports,
-            bandwidth_floor_cycles=bw_cycles,
-            fidelity="analytic",
-            clock_hz=params.clock_hz,
-            detail={
-                "streams": verdicts,
-                "compute_cycles": compute_cycles,
-                "mode": mode.label,
-                "algorithm": profile.algorithm,
-            },
-        )
+                pe_cycles.append(tally.close_pe(cycles, pe, tile))
+            tally.close_tile(tile, pe_cycles)
+        return tally.report(profile, "analytic")

@@ -4,14 +4,15 @@
 the geometry and the *current* hardware mode, charges the documented
 <=10-cycle overhead whenever a kernel requires a different mode (runtime
 hardware reconfiguration, triggered by one of the LCPs — Section III-D),
-and dispatches profiles to the right fidelity backend.
+and prices profiles.  The profile picks the fidelity backend: exact trace
+replay when every PE carries a trace, the closed-form model otherwise.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Union
 
-from ..errors import ConfigurationError, SimulationError
+from ..errors import ConfigurationError
 from .analytic import AnalyticModel
 from .energy import EnergyModel
 from .geometry import Geometry
@@ -22,8 +23,6 @@ from .stats import RunReport
 from .trace import TraceEngine
 
 __all__ = ["TransmuterSystem"]
-
-_FIDELITIES = ("analytic", "trace", "auto")
 
 
 class TransmuterSystem:
@@ -36,27 +35,17 @@ class TransmuterSystem:
         ``"AxB"`` string (e.g. ``"8x16"``).
     params:
         Microarchitectural constants; defaults to Table II.
-    fidelity:
-        ``"analytic"`` (closed-form, any size), ``"trace"`` (replay exact
-        traces; profiles must carry them), or ``"auto"`` (trace when the
-        profile has traces, analytic otherwise).
     """
 
     def __init__(
         self,
         geometry: Union[Geometry, str],
         params: HardwareParams = DEFAULT_PARAMS,
-        fidelity: str = "analytic",
     ):
         if isinstance(geometry, str):
             geometry = Geometry.parse(geometry)
-        if fidelity not in _FIDELITIES:
-            raise ConfigurationError(
-                f"fidelity must be one of {_FIDELITIES}, got {fidelity!r}"
-            )
         self.geometry = geometry
         self.params = params
-        self.fidelity = fidelity
         self.energy_model = EnergyModel(geometry, params)
         self._analytic = AnalyticModel(geometry, params)
         self._trace = TraceEngine(geometry, params)
@@ -81,15 +70,16 @@ class TransmuterSystem:
         return self.params.reconfig_cycles
 
     # ------------------------------------------------------------------
+    def _price(self, profile: KernelProfile) -> RunReport:
+        """Trace replay when the profile carries traces, else analytic."""
+        if profile.has_traces():
+            return self._trace.evaluate(profile)
+        return self._analytic.evaluate(profile)
+
     def run(self, profile: KernelProfile, with_energy: bool = True) -> RunReport:
         """Price one kernel invocation, reconfiguring first if needed."""
         reconfig = self.configure(profile.mode)
-        if self.fidelity == "trace":
-            report = self._trace.evaluate(profile)
-        elif self.fidelity == "auto" and profile.has_traces():
-            report = self._trace.evaluate(profile)
-        else:
-            report = self._analytic.evaluate(profile)
+        report = self._price(profile)
         report.cycles += reconfig
         report.reconfig_cycles = reconfig
         if with_energy:
@@ -102,14 +92,7 @@ class TransmuterSystem:
         The decision layer uses this to compare candidate configurations;
         only the chosen one is actually run.
         """
-        if self.fidelity == "trace" or (
-            self.fidelity == "auto" and profile.has_traces()
-        ):
-            report = self._trace.evaluate(profile)
-        else:
-            report = self._analytic.evaluate(profile)
-        self.energy_model.attach(report)
-        return report
+        return self.energy_model.attach(self._price(profile))
 
     # ------------------------------------------------------------------
     @property
@@ -124,4 +107,4 @@ class TransmuterSystem:
 
     def __repr__(self):  # pragma: no cover - debugging aid
         mode = self.current_mode.label if self.current_mode else "unconfigured"
-        return f"TransmuterSystem({self.geometry.name}, mode={mode}, fidelity={self.fidelity})"
+        return f"TransmuterSystem({self.geometry.name}, mode={mode})"

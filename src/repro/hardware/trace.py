@@ -5,8 +5,8 @@ their profile (see :class:`repro.hardware.profile.PETrace`).  This engine
 replays those traces through real set-associative LRU caches arranged per
 the active :class:`~repro.hardware.hwconfig.HWMode` — shared tile-level L1
 (SC/SCS), private per-PE banks (PC), scratchpad bypass (SCS vector / PS
-heap) — measures per-stream hit rates, and composes latencies with the
-*same* formulas as the analytic mode.
+heap) — measures per-stream hit rates, and prices them through the
+stages it shares with the analytic mode (:mod:`repro.hardware.latency`).
 
 Address convention
 ------------------
@@ -28,10 +28,10 @@ from ..errors import SimulationError
 from .cache import BankedCache, interleave_round_robin
 from .geometry import Geometry
 from .hwconfig import HWMode, Sharing
-from .latency import compose_latency
+from .latency import Tally, compose_latency, l1_base_latency, spm_latency
 from .params import HardwareParams
 from .profile import KernelProfile, Pattern, Region
-from .stats import MemCounters, RunReport, TileReport
+from .stats import RunReport
 
 __all__ = ["TraceEngine"]
 
@@ -90,25 +90,14 @@ class TraceEngine:
                 "use the analytic mode for summarised profiles"
             )
         geom, params, mode = self.geometry, self.params, profile.mode
-        counters = MemCounters()
-        tile_reports: List[TileReport] = []
-        dram_seq = 0.0
-        dram_rand = 0.0
+        tally = Tally(geom, params)
+        counters = tally.counters
         line = params.cache_line_words
+        l1_base = l1_base_latency(mode, geom, params)
+        spm_lat = spm_latency(mode, geom, params)
 
-        from .analytic import AnalyticModel  # latency bases shared via methods
-
-        helper = AnalyticModel(geom, params)
-        l1_base = helper._l1_base_latency(mode)
-        spm_lat = helper._spm_latency(mode)
-
-        l2_shared = mode.l2_sharing is Sharing.SHARED
-        shared_l2 = (
-            BankedCache(geom.tiles * geom.l2_banks_per_tile, params)
-            if l2_shared
-            else None
-        )
-        # Collected per tile: (pe_partials, miss streams for L2, ...)
+        # Per tile: (tile, cache-path parts, L1 hit masks, SPM counts,
+        # patterns).
         staged = []
 
         for tile in profile.tiles:
@@ -153,24 +142,22 @@ class TraceEngine:
                 )
                 hits = l1.run_trace(addrs, writes)
                 hit1 = _split_hits(hits, src, pos, n_pes)
-                wb1 = l1.writebacks
             else:
-                wb1 = 0
                 for i, (regs, addrs, writes) in enumerate(cache_parts):
                     if mode is HWMode.PS:
                         hit1[i] = np.zeros(len(addrs), dtype=bool)  # no L1 cache
                     else:
                         bank = BankedCache(1, params)
                         hit1[i] = bank.run_trace(addrs, writes)
-                        wb1 += bank.writebacks
 
-            staged.append((tile, cache_parts, hit1, spm_counts, patterns, wb1))
+            staged.append((tile, cache_parts, hit1, spm_counts, patterns))
 
         # --- L2 simulation (needs all tiles when shared) ------------------
-        if l2_shared:
+        if mode.l2_sharing is Sharing.SHARED:
             # Interleave every tile's miss streams through one shared L2.
+            shared_l2 = BankedCache(geom.tiles * geom.l2_banks_per_tile, params)
             flat = []  # (tile_idx, pe_idx, regs, addrs, writes)
-            for t_idx, (tile, parts, hit1, _spm, _pat, _wb) in enumerate(staged):
+            for t_idx, (tile, parts, hit1, _spm, _pat) in enumerate(staged):
                 for p_idx, (regs, addrs, writes) in enumerate(parts):
                     miss = ~hit1[p_idx]
                     flat.append((t_idx, p_idx, regs[miss], addrs[miss], writes[miss]))
@@ -182,15 +169,15 @@ class TraceEngine:
         else:
             hit2_of = {}
             l2_writebacks = 0
-            for t_idx, (tile, parts, hit1, _spm, _pat, _wb) in enumerate(staged):
-                l2 = BankedCache(self.geometry.l2_banks_per_tile, self.params)
+            for t_idx, (tile, parts, hit1, _spm, _pat) in enumerate(staged):
+                l2 = BankedCache(geom.l2_banks_per_tile, params)
                 for p_idx, (regs, addrs, writes) in enumerate(parts):
                     miss = ~hit1[p_idx]
                     hit2_of[(t_idx, p_idx)] = l2.run_trace(addrs[miss], writes[miss])
                 l2_writebacks += l2.writebacks
 
         # --- latency composition ------------------------------------------
-        for t_idx, (tile, parts, hit1, spm_counts, patterns, wb1) in enumerate(staged):
+        for t_idx, (tile, parts, hit1, spm_counts, patterns) in enumerate(staged):
             pe_cycles = []
             for p_idx, pe in enumerate(tile.pes):
                 regs, _addrs, _writes = parts[p_idx]
@@ -210,7 +197,7 @@ class TraceEngine:
                     m1 = int(m_sel.sum())
                     h2 = float(h2_mask[m_sel].sum()) / m1 if m1 else 1.0
                     pattern = patterns.get(Region(int(region)), Pattern.RANDOM)
-                    lat = compose_latency(l1_base, h1, h2, pattern, self.params)
+                    lat = compose_latency(l1_base, h1, h2, pattern, params)
                     cycles += count * lat
                     counters.l1_accesses += count
                     counters.l1_hits += h1 * count
@@ -220,64 +207,17 @@ class TraceEngine:
                     fill = m2 * line
                     counters.dram_words += fill
                     if pattern == Pattern.SEQUENTIAL:
-                        dram_seq += fill
+                        tally.dram_seq += fill
                     else:
-                        dram_rand += fill
+                        tally.dram_rand += fill
                     if mode.l1_sharing is Sharing.SHARED:
                         counters.xbar_hops += count
                     counters.xbar_hops += m1
 
-                fill_rate = max(
-                    self.params.spm_fill_cycles_per_word,
-                    geom.tiles / self.params.dram_words_per_cycle,
-                )
-                visible_fill = fill_rate * (1.0 - self.params.spm_fill_overlap)
-                if pe.spm_fill_words:
-                    cycles += pe.spm_fill_words * visible_fill
-                    counters.dram_words += pe.spm_fill_words
-                    counters.spm_accesses += pe.spm_fill_words
-                    dram_seq += pe.spm_fill_words
-                if tile.spm_fill_words:
-                    cycles += tile.spm_fill_words * visible_fill
-                pe_cycles.append(cycles)
-
-            out_rows = tile.lcp_output_words / 2.0  # (index, value) pairs
-            lcp_cycles = (
-                tile.lcp_serial_elements * self.params.lcp_cycles_per_element
-                + out_rows * self.params.lcp_rmw_cycles_per_row
-                + tile.lcp_compute_ops
-            )
-            counters.lcp_ops += tile.lcp_serial_elements * 4 + tile.lcp_compute_ops
-            counters.dram_words += out_rows + tile.lcp_output_words
-            dram_rand += out_rows
-            dram_seq += tile.lcp_output_words
-            if tile.spm_fill_words:
-                counters.dram_words += tile.spm_fill_words
-                counters.spm_accesses += tile.spm_fill_words
-                dram_seq += tile.spm_fill_words
-            tile_reports.append(TileReport(pe_cycles=pe_cycles, lcp_cycles=lcp_cycles))
+                pe_cycles.append(tally.close_pe(cycles, pe, tile))
+            tally.close_tile(tile, pe_cycles)
 
         wb_words = l2_writebacks * line
         counters.dram_words += wb_words
-        dram_seq += wb_words
-
-        compute_cycles = max(t.cycles for t in tile_reports)
-        bw_cycles = (
-            dram_seq / self.params.dram_words_per_cycle
-            + dram_rand
-            / (self.params.dram_words_per_cycle * self.params.dram_random_efficiency)
-        )
-        total = max(compute_cycles, bw_cycles) + profile.fixed_overhead_cycles
-        return RunReport(
-            cycles=total,
-            counters=counters,
-            tile_reports=tile_reports,
-            bandwidth_floor_cycles=bw_cycles,
-            fidelity="trace",
-            clock_hz=self.params.clock_hz,
-            detail={
-                "compute_cycles": compute_cycles,
-                "mode": mode.label,
-                "algorithm": profile.algorithm,
-            },
-        )
+        tally.dram_seq += wb_words
+        return tally.report(profile, "trace")

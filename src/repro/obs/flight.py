@@ -35,6 +35,7 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Deque, List, Optional
 
+from ..env import cache_dir
 from .events import SCHEMA_VERSION, event_record
 
 __all__ = [
@@ -150,8 +151,7 @@ class FlightRecorder:
 
 def default_dump_dir() -> str:
     """Where dumps land: ``REPRO_CACHE_DIR/flight/``."""
-    root = os.environ.get("REPRO_CACHE_DIR", os.path.abspath(".repro_cache"))
-    return os.path.join(root, "flight")
+    return os.path.join(cache_dir(), "flight")
 
 
 def read_dump(path: str) -> List[dict]:

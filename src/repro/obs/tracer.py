@@ -35,11 +35,11 @@ here annotates observability output and never feeds the cycle model.
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from typing import List, Optional
 
+from ..env import env_flag
 from ..perf import counters as _perf
 from .events import event_record
 from .flight import recorder as _flight_recorder
@@ -57,7 +57,6 @@ __all__ = [
 ]
 
 _ENV_VAR = "REPRO_TRACE"
-_FALSEY = {"", "0", "false", "off", "no"}
 
 def _jsonable(value):
     """Best-effort plain-JSON coercion for span attributes."""
@@ -262,7 +261,7 @@ def active() -> NullTracer:
         return _installed
     if not _env_checked:
         _env_checked = True
-        if os.environ.get(_ENV_VAR, "").strip().lower() not in _FALSEY:
+        if env_flag(_ENV_VAR, False):
             _env_tracer = Tracer(label="env")
     return _env_tracer if _env_tracer is not None else _NULL
 

@@ -32,15 +32,16 @@ import json
 import os
 from typing import Optional
 
+from ..env import cache_dir, env_flag
+
 __all__ = ["PricingCache", "pricing_cache_enabled"]
 
 _ENV_SWITCH = "REPRO_PRICING_CACHE"
-_FALSEY = ("0", "", "false", "off", "no")
 
 
 def pricing_cache_enabled() -> bool:
     """Whether priced results should persist (default: yes)."""
-    return os.environ.get(_ENV_SWITCH, "1").strip().lower() not in _FALSEY
+    return env_flag(_ENV_SWITCH, True)
 
 
 class PricingCache:
@@ -48,8 +49,6 @@ class PricingCache:
 
     def __init__(self, root: Optional[str] = None):
         if root is None:
-            from ..experiments.common import cache_dir
-
             root = cache_dir()
         self.dir = os.path.join(root, "pricing")
 

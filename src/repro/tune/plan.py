@@ -30,6 +30,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ..env import cache_dir, env_flag
 from ..errors import ConfigurationError
 from ..formats import COOMatrix
 
@@ -46,12 +47,11 @@ __all__ = [
 TUNE_CACHE_SCHEMA = 1
 
 _ENV_SWITCH = "REPRO_TUNE_CACHE"
-_FALSEY = ("0", "", "false", "off", "no")
 
 
 def plan_cache_enabled() -> bool:
     """Whether tuning plans should persist (default: yes)."""
-    return os.environ.get(_ENV_SWITCH, "1").strip().lower() not in _FALSEY
+    return env_flag(_ENV_SWITCH, True)
 
 
 @dataclass
@@ -215,8 +215,6 @@ class PlanCache:
 
     def __init__(self, root: Optional[str] = None):
         if root is None:
-            from ..experiments.common import cache_dir
-
             root = cache_dir()
         self.dir = os.path.join(root, "tune")
 

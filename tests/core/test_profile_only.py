@@ -120,7 +120,7 @@ class TestOracleCounting:
         and only 1 when an OP candidate wins."""
         coo = uniform_random(300, nnz=2500, seed=6)
         rt = CoSparseRuntime(
-            coo, "2x2", policy="oracle", fidelity="trace", with_trace=True
+            coo, "2x2", policy="oracle", fidelity="trace"
         )
         f = random_frontier(coo.n_cols, 0.01, seed=7)
         result = rt.spmv(f, spmv_semiring())

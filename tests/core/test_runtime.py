@@ -49,6 +49,11 @@ class TestPolicies:
         with pytest.raises(ConfigurationError):
             CoSparseRuntime(operand, "2x8", policy="greedy")
 
+    @pytest.mark.parametrize("fidelity", ["exact", "auto"])
+    def test_rejects_bad_fidelity(self, operand, fidelity):
+        with pytest.raises(ConfigurationError):
+            CoSparseRuntime(operand, "2x8", fidelity=fidelity)
+
     def test_tree_switches_by_density(self, runtime, medium_coo, rng):
         sr = spmv_semiring()
         sparse = random_frontier(medium_coo.n_cols, 0.002, seed=1)

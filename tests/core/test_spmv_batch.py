@@ -171,7 +171,7 @@ class TestBatchBookkeeping:
     def test_rejects_trace_vector_semirings_and_bad_absent(
         self, operand, medium_coo, rng
     ):
-        rt_trace = CoSparseRuntime(operand, "2x8", with_trace=True)
+        rt_trace = CoSparseRuntime(operand, "2x8", fidelity="trace")
         with pytest.raises(ConfigurationError):
             rt_trace.spmv_batch([rng.random(medium_coo.n_cols)], spmv_semiring())
         rt = CoSparseRuntime(operand, "2x8")

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.formats import CSCMatrix, SparseVector
-from repro.hardware import Geometry, HWMode, TransmuterSystem
+from repro.hardware import DEFAULT_PARAMS, Geometry, HWMode
+from repro.hardware.analytic import AnalyticModel
+from repro.hardware.trace import TraceEngine
 from repro.spmv import inner_product, outer_product, spmv_semiring
 from repro.workloads import uniform_random
 
@@ -18,10 +20,13 @@ def setting():
     return coo, csc
 
 
+ENGINES = {"analytic": AnalyticModel, "trace": TraceEngine}
+
+
 def price(profile, geom, fidelity):
-    return TransmuterSystem(geom, fidelity=fidelity).run(
-        profile, with_energy=False
-    ).cycles
+    """Cycles of a traced profile under the named engine (the system
+    facade would always pick trace replay for it)."""
+    return ENGINES[fidelity](geom, DEFAULT_PARAMS).evaluate(profile).cycles
 
 
 class TestSoftwareChoiceAgreement:

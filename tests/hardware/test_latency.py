@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro.hardware import DEFAULT_PARAMS
-from repro.hardware.latency import compose_latency, hide_fraction
+from repro.hardware import DEFAULT_PARAMS, Geometry, HWMode
+from repro.hardware.latency import (
+    bandwidth_floor_cycles,
+    compose_latency,
+    hide_fraction,
+    l1_base_latency,
+    shared_conflict_cycles,
+    spm_latency,
+)
 from repro.hardware.profile import Pattern
 
 
@@ -43,3 +50,49 @@ class TestCompose:
         seq = compose_latency(1.0, 0.0, 0.0, Pattern.SEQUENTIAL, DEFAULT_PARAMS)
         dep = compose_latency(1.0, 0.0, 0.0, Pattern.DEPENDENT, DEFAULT_PARAMS)
         assert seq < dep / 3
+
+
+class TestSharedConflicts:
+    def test_more_requesters_more_conflicts(self):
+        few = shared_conflict_cycles(4, 8, DEFAULT_PARAMS)
+        many = shared_conflict_cycles(32, 8, DEFAULT_PARAMS)
+        assert many > few
+
+    def test_more_banks_fewer_conflicts(self):
+        narrow = shared_conflict_cycles(16, 4, DEFAULT_PARAMS)
+        wide = shared_conflict_cycles(16, 32, DEFAULT_PARAMS)
+        assert wide < narrow
+
+    def test_single_requester_no_serialisation(self):
+        assert shared_conflict_cycles(1, 8, DEFAULT_PARAMS) == pytest.approx(
+            DEFAULT_PARAMS.xbar_arbitration
+        )
+
+
+class TestLatencyBases:
+    GEOM = Geometry(2, 8)
+
+    def test_private_l1_is_transparent(self):
+        """A private crossbar adds neither arbitration nor serialisation."""
+        for mode in (HWMode.PC, HWMode.PS):
+            assert l1_base_latency(mode, self.GEOM, DEFAULT_PARAMS) == 1.0
+
+    def test_shared_l1_pays_serialisation(self):
+        assert l1_base_latency(HWMode.SC, self.GEOM, DEFAULT_PARAMS) > 1.0
+
+    def test_shared_spm_pays_serialisation(self):
+        private = spm_latency(HWMode.PS, self.GEOM, DEFAULT_PARAMS)
+        assert spm_latency(HWMode.SCS, self.GEOM, DEFAULT_PARAMS) > private
+
+
+class TestBandwidthFloor:
+    def test_floor_cycles_sequential(self):
+        """3200 streamed words at 32 words/cycle take 100 cycles."""
+        assert bandwidth_floor_cycles(3200, 0, DEFAULT_PARAMS) == pytest.approx(
+            100.0
+        )
+
+    def test_random_traffic_costs_more(self):
+        seq = bandwidth_floor_cycles(1000, 0, DEFAULT_PARAMS)
+        rand = bandwidth_floor_cycles(0, 1000, DEFAULT_PARAMS)
+        assert rand > seq

@@ -1,5 +1,6 @@
 """TransmuterSystem facade tests (configuration + dispatch)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -10,6 +11,7 @@ from repro.hardware import (
     HWMode,
     KernelProfile,
     PEProfile,
+    PETrace,
     Pattern,
     Region,
     TileProfile,
@@ -17,7 +19,15 @@ from repro.hardware import (
 )
 
 
-def tiny_profile(mode):
+def tiny_profile(mode, traced=False):
+    trace = None
+    if traced:
+        addrs = np.arange(100, dtype=np.int64)
+        trace = PETrace(
+            regions=np.full(100, int(Region.MATRIX), dtype=np.int8),
+            addrs=addrs,
+            writes=np.zeros(100, dtype=bool),
+        )
     return KernelProfile(
         algorithm="ip" if mode in (HWMode.SC, HWMode.SCS) else "op",
         mode=mode,
@@ -31,6 +41,7 @@ def tiny_profile(mode):
                                 Region.MATRIX, 100, Pattern.SEQUENTIAL, 100
                             )
                         ],
+                        trace=trace,
                     )
                 ]
             )
@@ -42,10 +53,6 @@ class TestConfiguration:
     def test_accepts_geometry_string(self):
         s = TransmuterSystem("4x8")
         assert s.geometry.tiles == 4
-
-    def test_rejects_bad_fidelity(self):
-        with pytest.raises(ConfigurationError):
-            TransmuterSystem("2x2", fidelity="exact")
 
     def test_rejects_non_mode(self):
         s = TransmuterSystem("2x2")
@@ -89,10 +96,14 @@ class TestRun:
         s.evaluate_without_switching(tiny_profile(HWMode.PS))
         assert s.current_mode is HWMode.SC
 
-    def test_auto_fidelity_falls_back_to_analytic(self):
-        s = TransmuterSystem("2x2", fidelity="auto")
-        r = s.run(tiny_profile(HWMode.SC))
-        assert r.fidelity == "analytic"
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_profile_picks_the_engine(self, traced):
+        """Trace replay exactly when the profile carries traces."""
+        s = TransmuterSystem("2x2")
+        expected = "trace" if traced else "analytic"
+        profile = tiny_profile(HWMode.SC, traced=traced)
+        assert s.run(profile).fidelity == expected
+        assert s.evaluate_without_switching(profile).fidelity == expected
 
     def test_report_summary_renders(self):
         s = TransmuterSystem("2x2")

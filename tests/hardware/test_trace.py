@@ -128,7 +128,7 @@ class TestAgainstAnalytic:
     real kernels (the decision layer depends on it)."""
 
     def test_ip_cycles_within_factor_two(self, medium_coo):
-        from repro.hardware import TransmuterSystem
+        from repro.hardware.analytic import AnalyticModel
         from repro.spmv import inner_product, spmv_semiring
         import numpy as np
 
@@ -138,7 +138,7 @@ class TestAgainstAnalytic:
         res = inner_product(
             medium_coo, v, spmv_semiring(), geom, HWMode.SC, with_trace=True
         )
-        analytic = TransmuterSystem(geom, fidelity="analytic").run(res.profile)
-        trace = TransmuterSystem(geom, fidelity="trace").run(res.profile)
+        analytic = AnalyticModel(geom, DEFAULT_PARAMS).evaluate(res.profile)
+        trace = TraceEngine(geom, DEFAULT_PARAMS).evaluate(res.profile)
         ratio = analytic.cycles / trace.cycles
         assert 0.5 < ratio < 2.0

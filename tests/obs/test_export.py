@@ -294,7 +294,6 @@ class TestTraceFidelityIntegration:
                 "2x4",
                 policy="static",
                 fidelity="trace",
-                with_trace=True,
             )
             bfs(small_graph, 0, runtime=rt, max_iters=2)
         cache_spans = [

@@ -30,8 +30,8 @@ import pytest
 
 from repro.core import CoSparseRuntime
 from repro.formats import COOMatrix, CSCMatrix, MultiVector, SparseVector
-from repro.graphs import bfs, pagerank, sssp
-from repro.hardware import Geometry, HWMode
+from repro.graphs import Graph, bfs, pagerank, sssp
+from repro.hardware import Geometry, HWMode, TransmuterSystem
 from repro.spmv import (
     bfs_semiring,
     cf_semiring,
@@ -42,7 +42,7 @@ from repro.spmv import (
     spmv_semiring,
     sssp_semiring,
 )
-from repro.workloads import chung_lu, load_graph, random_frontier
+from repro.workloads import chung_lu, load_graph, random_frontier, uniform_random
 
 LOCK_FILE = pathlib.Path(__file__).with_name("behaviour_lock.json")
 
@@ -102,6 +102,16 @@ def digest(*parts) -> str:
 
 def result_digest(result) -> str:
     return digest(result.values, result.touched, result.profile)
+
+
+def report_fields(report) -> dict:
+    """Every :class:`RunReport` field, with the per-stream pricing table
+    left out of ``detail``."""
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    fields["detail"] = {
+        k: v for k, v in report.detail.items() if k != "streams"
+    }
+    return fields
 
 
 def run_digest(run) -> str:
@@ -335,6 +345,77 @@ def _batch_cases():
     return cases
 
 
+def _price(profile) -> str:
+    """Digest of one profile priced through every system entry point: a
+    hypothetical probe, a first run (which reconfigures) and a repeat
+    run without energy.  The profile alone picks the engine: trace
+    replay when it carries traces, the analytic model otherwise."""
+    system = TransmuterSystem(GEOM)
+    probe = system.evaluate_without_switching(profile)
+    first = system.run(profile)
+    again = system.run(profile, with_energy=False)
+    return digest(
+        [report_fields(r) for r in (probe, first, again)],
+        system.reconfigurations,
+        float(system.reconfiguration_cycles),
+    )
+
+
+def _price_ip(mode, balanced, traced):
+    coo = ip_matrix()
+    vec = _dense(coo.n_cols, 0.05, seed=60)
+    result = inner_product(
+        coo, vec, spmv_semiring(), GEOM, hw_mode=mode, balanced=balanced,
+        with_trace=traced,
+    )
+    return _price(result.profile)
+
+
+def _price_op(mode, balanced, traced):
+    csc = op_matrix()
+    sv = random_frontier(csc.n_cols, 0.02, seed=61)
+    result = outer_product(
+        csc, sv, spmv_semiring(), GEOM, hw_mode=mode, balanced=balanced,
+        with_trace=traced,
+    )
+    return _price(result.profile)
+
+
+def _pricing_cases():
+    cases = {}
+    for engine, traced in (("analytic", False), ("trace", True)):
+        for algo, modes, fn in (
+            ("ip", (HWMode.SC, HWMode.SCS), _price_ip),
+            ("op", (HWMode.PC, HWMode.PS, HWMode.SC), _price_op),
+        ):
+            for mode in modes:
+                for balanced in (True, False):
+                    name = f"pricing/{engine}/{algo}/{mode.label}/bal{int(balanced)}"
+                    cases[name] = functools.partial(fn, mode, balanced, traced)
+    cases["pricing/trace/runtime/bfs"] = functools.partial(_trace_run, bfs)
+    cases["pricing/trace/runtime/sssp"] = functools.partial(_trace_run, sssp)
+    return cases
+
+
+@functools.lru_cache(maxsize=None)
+def tiny_graph() -> Graph:
+    return Graph(
+        uniform_random(300, nnz=2500, seed=19, remove_self_loops=True),
+        name="tiny",
+    )
+
+
+def _trace_run(driver):
+    """A whole traversal priced by trace replay on every iteration."""
+    run = driver(
+        tiny_graph(), 0, geometry="2x2", fidelity="trace"
+    )
+    assert all(r.report.fidelity == "trace" for r in run.log)
+    return digest(
+        run_digest(run), [report_fields(r.report) for r in run.log]
+    )
+
+
 def _runtime_cases():
     cases = {}
     policies = {
@@ -391,7 +472,10 @@ def _run_batch():
 
 
 def all_cases():
-    return {**_ip_cases(), **_op_cases(), **_batch_cases(), **_runtime_cases()}
+    return {
+        **_ip_cases(), **_op_cases(), **_batch_cases(), **_runtime_cases(),
+        **_pricing_cases(),
+    }
 
 
 CASES = all_cases()
