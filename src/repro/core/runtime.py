@@ -368,10 +368,12 @@ class CoSparseRuntime:
         """Price ``candidates`` with profile-only probes.
 
         Returns ``(best algo, best mode, reports, probe)`` where
-        ``probe`` is the winner's ``(SpMVResult, ConversionCost)``.  The
-        probe normally carries only the profile; when the kernel had to
-        execute anyway (OP under trace fidelity runs the exact merge),
-        its functional result rides along and :meth:`spmv` reuses it.
+        ``probe`` is the winner's ``(SpMVResult, ConversionCost,
+        RunReport)``.  The probe normally carries only the profile; when
+        the kernel had to execute anyway (OP under trace fidelity runs
+        the exact merge), its functional result rides along and
+        :meth:`spmv` reuses it.  The report is the winner's pricing,
+        which :meth:`_record` commits instead of pricing it again.
         """
         tracer = _obs_active()
         alternatives = {}
@@ -385,15 +387,15 @@ class CoSparseRuntime:
                 report = self.system.evaluate_without_switching(result.profile)
                 sp.set(cycles=report.cycles)
             alternatives[f"{algorithm.upper()}/{mode.label}"] = report
-            priced.append((algorithm, mode, report, (result, cost)))
-        scores = self._scores([p[2] for p in priced])
+            priced.append((algorithm, mode, (result, cost, report)))
+        scores = self._scores([p[2][2] for p in priced])
         best = priced[min(range(len(priced)), key=scores.__getitem__)]
-        return best[0], best[1], alternatives, best[3]
+        return best[0], best[1], alternatives, best[2]
 
     def _decide(self, density: float, semiring: Semiring, frontier, current):
         """Pick (algorithm, mode, alternatives, probe) per the policy.
 
-        ``probe`` is the winning candidate's ``(result, cost)`` pair
+        ``probe`` is the winning candidate's ``(result, cost, report)``
         when the policy priced candidates, else None.
         """
         alternatives = {}
@@ -513,16 +515,18 @@ class CoSparseRuntime:
             if probe_reused:
                 # The winning pricing probe already ran the functional
                 # kernel (exact/trace path): reuse it instead of re-running.
-                result, conv = probe
+                result, conv, _report = probe
             else:
                 with tracer.span("kernel", algorithm=algorithm, hw_mode=mode):
                     result, conv = self._run_kernel(
                         algorithm, mode, frontier, semiring, current
                     )
             with sanitize.scope("spmv") as san:
+                priced = None if probe is None else probe[2]
                 record = self._record(
                     tracer, san, f"spmv iter {self._iteration}", result,
-                    conv, (algorithm, mode, alternatives, density, shadow),
+                    conv,
+                    (algorithm, mode, alternatives, density, shadow, priced),
                     probe_reused,
                 )
             if tracer.enabled:
@@ -541,15 +545,18 @@ class CoSparseRuntime:
         :class:`IterationRecord`, emit the decision-audit events and
         advance the switch state — the one record path :meth:`spmv` and
         :meth:`spmv_batch` share.  ``decision`` is the column's
-        ``(algorithm, mode, alternatives, density, shadow)``."""
-        algorithm, mode, alternatives, density, shadow = decision
+        ``(algorithm, mode, alternatives, density, shadow, priced)``;
+        ``priced`` is the winning probe's report when candidates were
+        priced — the executed profile prices exactly like its probe, so
+        the system commits a copy of it instead of pricing it again."""
+        algorithm, mode, alternatives, density, shadow, priced = decision
         conv_cycles = (
             conv.words * _CONV_CYCLES_PER_WORD / max(self.geometry.n_pes, 1)
         )
         price_attrs = {} if batch_column is None else {"column": batch_column}
-        with tracer.span("price", **price_attrs) as priced:
-            report = self.system.run(result.profile)
-            priced.set(cycles=report.cycles)
+        with tracer.span("price", **price_attrs) as span:
+            report = self.system.run(result.profile, priced=priced)
+            span.set(cycles=report.cycles)
         san.check_report(label, report)
         san.check_conversion(label, conv, conv_cycles)
         record = IterationRecord(
@@ -678,7 +685,8 @@ class CoSparseRuntime:
                     )
                 if probe is not None:
                     # Unlike spmv()'s reuse path, the batch kernel always
-                    # recomputes the winner: the probe's result is wasted.
+                    # recomputes the winner: the probe's functional result
+                    # is wasted (its report is still committed).
                     _perf.kernel_probe_discarded += 1
                     if tracer.enabled:
                         tracer.event(
@@ -691,14 +699,12 @@ class CoSparseRuntime:
                             )
                         )
                 decisions.append((algorithm, mode, alternatives, density,
-                                  shadow))
+                                  shadow, None if probe is None else probe[2]))
             self._conv_cache.clear()
 
             # Group columns by configuration, first-appearance order.
             groups: dict = {}
-            for j, (algorithm, mode, _alts, _d, _shadow) in enumerate(
-                decisions
-            ):
+            for j, (algorithm, mode, *_rest) in enumerate(decisions):
                 groups.setdefault((algorithm, mode), []).append(j)
 
             results: List[Optional[SpMVResult]] = [None] * mv.k

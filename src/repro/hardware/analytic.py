@@ -31,19 +31,46 @@ finishes with its slowest PE plus the LCP's serial tail (OP's merge and
 its dependent read-modify-write of output rows — the term that keeps OP
 from scaling with PEs per tile); the system finishes with the slowest
 tile unless the HBM bandwidth floor is higher.
+
+Evaluation order
+----------------
+A profile is read once into float64 arrays shaped ``(tile, PE, slot)``
+(:class:`_Streams`) and every stage runs over all PEs at once.  The
+reports stay bit-identical to a per-stream scalar walk because every
+float is formed by the same operations in the same order:
+
+* every sum is a left fold in program order (tile, PE, stream), taken
+  with :func:`_fold` (``np.add.accumulate``, which is strictly
+  sequential) — never ``np.sum``, which reduces pairwise, nor
+  ``sum()``, which compensates from Python 3.12 on;
+* padding (short PEs, absent regions) holds zeros, and adding ``+0.0``
+  to a non-negative partial sum changes nothing;
+* ``exp`` is :func:`math.exp` mapped over the arguments, since
+  ``np.exp`` may differ from it in the last place;
+* ``np.minimum``/``np.maximum`` stand in for ``min``/``max``: they
+  differ from them only on NaN or on a tie between ``0.0`` and
+  ``-0.0``, and the finite, non-negative stream fields of a profile
+  give neither.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+
+import numpy as np
 
 from .geometry import Geometry
 from .hwconfig import HWMode, Sharing
-from .latency import Tally, compose_latency, l1_base_latency, spm_latency
+from .latency import (
+    Tally,
+    compose_latency,
+    hide_fraction,
+    l1_base_latency,
+    pe_grid,
+    spm_latency,
+)
 from .params import HardwareParams
-from .profile import AccessStream, KernelProfile, Pattern, Region
+from .profile import KernelProfile, Pattern, Region
 from .stats import RunReport
 
 __all__ = ["AnalyticModel"]
@@ -51,81 +78,225 @@ __all__ = ["AnalyticModel"]
 #: Fixed-point iterations for the insert-rate solve.
 _FLUX_ITERATIONS = 4
 
-
-@dataclass
-class _Entry:
-    """One stream's view at a cache level (counts may be aggregated)."""
-
-    region: Region
-    count: float
-    footprint: float
-    pattern: str
-    passes: int
-    cold_sharers: float = 1.0
-    miss: float = 0.0  # solved
-
-
-def _solve_level(entries: List[_Entry], capacity_words: float, params) -> None:
-    """Fixed-point solve of per-entry miss counts at one cache level."""
-    line = params.cache_line_words
-    c_lines = max(capacity_words / line, 1e-9)
-    total = sum(e.count for e in entries)
-    if total <= 0:
-        for e in entries:
-            e.miss = 0.0
-        return
-    # Capacity shares among random/dependent entries (by access count).
-    rand_total = sum(
-        e.count for e in entries if e.pattern != Pattern.SEQUENTIAL
-    )
-    # Initial guess: streams miss once per line, random misses everything.
-    for e in entries:
-        cold = min(e.count, e.footprint / line / max(e.cold_sharers, 1.0))
-        if e.pattern == Pattern.SEQUENTIAL:
-            e.miss = min(e.count, cold * e.passes)
-        else:
-            e.miss = e.count
-    for _ in range(_FLUX_ITERATIONS):
-        insert_rate = sum(e.miss for e in entries) / total
-        for e in entries:
-            if e.count <= 0:
-                e.miss = 0.0
-                continue
-            cold = min(
-                e.count, e.footprint / line / max(e.cold_sharers, 1.0)
-            )
-            if e.pattern == Pattern.SEQUENTIAL:
-                fp_lines = e.footprint / line
-                if e.passes > 1 and fp_lines <= 0.5 * c_lines:
-                    e.miss = min(e.count, cold)  # later passes hit
-                else:
-                    e.miss = min(e.count, cold * e.passes)
-                continue
-            fp_lines = max(e.footprint / line, 1e-9)
-            interval = total * fp_lines / e.count
-            k = insert_rate * interval
-            h_flux = 1.0 - math.exp(-c_lines / k) if k > 0 else 1.0
-            share = e.count / rand_total if rand_total else 1.0
-            h_cap = min(1.0, c_lines * share / fp_lines)
-            h = min(h_flux, max(h_cap, 0.0))
-            e.miss = min(e.count, cold + max(e.count - cold, 0.0) * (1.0 - h))
-
-
-def _miss_bearing(stream: AccessStream) -> float:
-    """Load accesses of a stream that can actually miss.
-
-    Stores retire through the write buffer; when ``distinct_touches`` is
-    set, the remaining loads are register-run re-touches that hit by
-    construction.
-    """
-    reads = max(stream.count - stream.writes, 0.0)
-    if stream.distinct_touches is not None:
-        reads = min(reads, stream.distinct_touches)
-    return reads
-
-
 #: Cycles a store occupies the pipeline (write-buffered).
 _STORE_COST = 1.0
+
+#: Region codes, the column axis of a level's pooled entries.
+_REGIONS = np.arange(len(Region))
+
+#: Pattern codes in :class:`_Streams`.
+_PATTERN_CODE = {Pattern.SEQUENTIAL: 0.0, Pattern.RANDOM: 1.0, Pattern.DEPENDENT: 2.0}
+_UNSET = float("nan")
+
+
+def _fold(x: np.ndarray) -> np.ndarray:
+    """Left fold of ``x`` along its last axis, element by element."""
+    return np.add.accumulate(x, axis=-1)[..., -1]
+
+
+def _miss_bearing(count, writes, distinct):
+    """Load accesses of each stream that can actually miss.
+
+    Stores retire through the write buffer; where ``distinct`` is set
+    (not NaN), the remaining loads are register-run re-touches that hit
+    by construction.
+    """
+    return np.fmin(np.maximum(count - writes, 0.0), distinct)
+
+
+class _Streams:
+    """A profile's access streams as arrays shaped ``(tile, PE, slot)``.
+
+    Short tiles and PEs are padded with all-zero slots, which count
+    nothing, miss nothing and cost nothing.  ``distinct`` is NaN where
+    a stream sets no ``distinct_touches``.
+    """
+
+    def __init__(self, profile: KernelProfile):
+        tiles = profile.tiles
+        code = _PATTERN_CODE
+        values: list = []
+        add = values.extend
+        lengths = []
+        for tile in tiles:
+            for pe in tile.pes:
+                lengths.append(len(pe.streams))
+                for s in pe.streams:
+                    d = s.distinct_touches
+                    add((
+                        s.count, s.writes, s.footprint, s.passes,
+                        s.fill_granule, s.in_spm, s.shared_footprint,
+                        s.region, code[s.pattern], _UNSET if d is None else d,
+                    ))
+        self.tile_pes = np.array([len(tile.pes) for tile in tiles], dtype=float)
+        n_tiles = len(tiles)
+        n_pes = max(int(self.tile_pes.max()), 1)
+        n_slots = max(max(lengths, default=0), 1)
+        self.shape = (n_tiles, n_pes, n_slots)
+        data = np.fromiter(values, dtype=float, count=len(values))
+        data = data.reshape(-1, 10).T
+        size = n_tiles * n_pes * n_slots
+        if data.shape[1] == size:
+            table = data  # every PE has every slot: no padding
+        else:
+            pe_at = [
+                t * n_pes + p
+                for t, tile in enumerate(tiles)
+                for p in range(len(tile.pes))
+            ]
+            first = np.cumsum(lengths) - lengths
+            at = np.repeat(np.array(pe_at, dtype=np.intp) * n_slots - first, lengths)
+            table = np.zeros((10, size))
+            table[-1] = np.nan
+            table[:, at + np.arange(data.shape[1])] = data
+        (
+            self.count,
+            self.writes,
+            self.footprint,
+            self.passes,
+            self.fill_granule,
+            in_spm,
+            shared,
+            region,
+            pattern,
+            self.distinct,
+        ) = table.reshape(10, *self.shape)
+        self.in_spm = in_spm != 0
+        self.shared = shared != 0
+        self.region = region.astype(np.intp)
+        #: Pattern codes: 0 sequential, 1 random, 2 dependent.
+        self.pattern = pattern.astype(np.intp)
+        self.seq = pattern == 0
+
+
+def _solve_level(count, footprint, seq, passes, capacity_words, params, sharers=None):
+    """Fixed-point solve of the miss counts at one cache level.
+
+    Each row of the ``(cache, entry)`` arrays is an independent cache
+    of ``capacity_words``; its columns are the entries in order of
+    first appearance, and zero-count columns are padding.  ``sharers``
+    (default one) splits each entry's compulsory misses among the cores
+    sharing its footprint.  Returns the miss counts, shaped like
+    ``count``.
+    """
+    line = params.cache_line_words
+    c_lines = max(capacity_words / line, 1e-9)
+    fp_lines = footprint / line
+    cold = np.minimum(count, fp_lines if sharers is None else fp_lines / sharers)
+    streamed = np.minimum(count, cold * passes)
+    live = count > 0
+    # Sequential entries settle in the first iteration: later passes hit
+    # when the footprint fits half the cache.
+    reuse = (passes > 1) & (fp_lines <= 0.5 * c_lines)
+    solved = np.where(
+        seq & live, np.where(reuse, np.minimum(count, cold), streamed), 0.0
+    )
+    # Random entries, compressed to one axis.  A live random entry's row
+    # has a positive total and a positive random total.
+    at = np.flatnonzero(live & ~seq)
+    if not at.size:
+        return solved
+    width = count.shape[1]
+    row_end = at - at % width + (width - 1)  # the row's last column
+    n = count.ravel()[at]
+    r_cold = cold.ravel()[at]
+    r_lines = np.maximum(fp_lines.ravel()[at], 1e-9)
+    # The level's accesses and (capacity shares among random/dependent
+    # entries) its random accesses, per row.
+    total, random_total = np.add.accumulate(
+        np.stack([count, np.where(seq, 0.0, count)]), axis=2
+    ).reshape(2, -1)[:, row_end]
+    interval = total * r_lines / n
+    h_cap = np.minimum(c_lines * (n / random_total) / r_lines, 1.0)
+    excess = n - r_cold  # cold <= n
+    # Initial guess: streams miss once per line, random misses everything.
+    miss = np.where(seq, streamed, count)
+    flat = solved.reshape(-1)  # a view: writing it updates ``solved``
+    last = None
+    for _ in range(_FLUX_ITERATIONS):
+        k = np.take(np.add.accumulate(miss, axis=1), row_end) / total * interval
+        if np.minimum.reduce(k) > 0:
+            h_flux = 1.0 - _exp(-c_lines / k)
+        else:
+            hot = k > 0
+            h_flux = np.ones_like(k)
+            h_flux[hot] = 1.0 - _exp(-c_lines / k[hot])
+        r_miss = np.minimum(n, r_cold + excess * (1.0 - np.minimum(h_flux, h_cap)))
+        flat[at] = r_miss
+        miss = solved
+        # An iteration is a function of the previous one's misses: once
+        # they repeat bit for bit, so would every later iteration.
+        now = r_miss.tobytes()
+        if now == last:
+            break
+        last = now
+    return miss
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """:func:`math.exp` of every element."""
+    return np.array(list(map(math.exp, x.tolist())), dtype=float)
+
+
+class _Pool:
+    """One cache level's entries: each row's live streams pooled by
+    region, the entries in order of first appearance.
+
+    ``region`` and ``live`` are ``(row, column)`` arrays with the columns
+    in program order.  ``member`` (row, entry, column) says which
+    streams feed each entry and ``first`` is the column of its first
+    stream; absent regions come last and pool nothing.
+    """
+
+    def __init__(self, region: np.ndarray, live: np.ndarray):
+        width = region.shape[1]
+        rows = np.arange(len(region))[:, None]
+        member = live[:, None, :] & (region[:, None, :] == _REGIONS[:, None])
+        present = member.any(axis=2)
+        first = np.where(present, member.argmax(axis=2), width + _REGIONS)
+        # entries in order of first appearance, minus columns no row uses
+        order = np.argsort(first, axis=1)[:, : max(present.sum(axis=1).max(), 1)]
+        self.order = order
+        self.member = member[rows, order]
+        self.first = np.minimum(first[rows, order], width - 1)
+        self.rows, self.region = rows, region
+
+    def fold(self, values: np.ndarray) -> np.ndarray:
+        """Each entry's left fold of its streams' ``values``."""
+        return _fold(np.where(self.member, values[:, None, :], 0.0))
+
+    def at_first(self, values: np.ndarray) -> np.ndarray:
+        """Each entry's value of ``values`` at its first stream."""
+        return values[self.rows, self.first]
+
+    def hit_rates(self, miss: np.ndarray, count: np.ndarray) -> np.ndarray:
+        """Every stream's hit rate: its region's entry's, 1.0 where the
+        region pooled nothing."""
+        by_region = np.ones((len(self.rows), len(_REGIONS)))
+        by_region[self.rows, self.order] = 1.0 - np.divide(
+            miss, count, out=np.zeros_like(miss), where=count > 0
+        )
+        return by_region[self.rows, self.region]
+
+
+def _l2_footprints(member, shared, footprint):
+    """Pooled L2 footprints: a shared region counts once per L2 scope
+    (max), private ones accumulate — folded in program order."""
+    private = member & ~shared[:, None, :]
+    public = member & shared[:, None, :]
+    fp = footprint[:, None, :]
+    added = private.any(axis=2)
+    out = np.where(
+        added, _fold(np.where(private, fp, 0.0)), np.where(public, fp, 0.0).max(axis=2)
+    )
+    # A region mixing both kinds is folded stream by stream.
+    for g, r in zip(*np.nonzero(added & public.any(axis=2))):
+        acc = 0.0
+        for c in np.flatnonzero(member[g, r]):
+            f = float(footprint[g, c])
+            acc = (f if f > acc else acc) if shared[g, c] else acc + f
+        out[g, r] = acc
+    return out
 
 
 class AnalyticModel:
@@ -134,177 +305,133 @@ class AnalyticModel:
     def __init__(self, geometry: Geometry, params: HardwareParams):
         self.geometry = geometry
         self.params = params
+        #: Visible miss fraction per pattern code.
+        self._hide = np.array([hide_fraction(p, params) for p in Pattern.ALL])
 
     # ------------------------------------------------------------------
     def evaluate(self, profile: KernelProfile) -> RunReport:
         """Price one kernel invocation; returns cycles + counters."""
         geom, params, mode = self.geometry, self.params, profile.mode
-        tally = Tally(geom, params)
-        counters = tally.counters
         line = params.cache_line_words
         l1_base = l1_base_latency(mode, geom, params)
         spm_lat = spm_latency(mode, geom, params)
-        l1_capacity = mode.l1_cache_words(geom, params)
-        l2_capacity = mode.l2_words(geom, params)
         l1_shared = mode.l1_sharing is Sharing.SHARED
         l2_shared = mode.l2_sharing is Sharing.SHARED
+        st = _Streams(profile)
+        n_tiles, n_pes, n_slots = st.shape
+        count, writes = st.count, st.writes
+        mb = _miss_bearing(count, writes, st.distinct)
+        cached = ~st.in_spm & (mb > 0)
 
-        # ---- Stage 1: L1 hit rates per tile --------------------------
-        # staged[t] = (per-PE [(stream, h1, m1)], spm info)
-        staged: List[List[List[Tuple[AccessStream, float, float]]]] = []
-        l2_entries: List[_Entry] = []  # aggregated per (tile, region)
-        l2_entry_of: Dict[Tuple[int, int], _Entry] = {}
-        for t_idx, tile in enumerate(profile.tiles):
-            per_pe: List[List[Tuple[AccessStream, float, float]]] = []
-            if l1_shared:
-                # one solve for the tile's pooled cache-path streams
-                agg: Dict[Region, _Entry] = {}
-                for pe in tile.pes:
-                    for s in pe.streams:
-                        mb = _miss_bearing(s)
-                        if s.in_spm or mb <= 0:
-                            continue
-                        e = agg.get(s.region)
-                        if e is None:
-                            agg[s.region] = _Entry(
-                                s.region,
-                                mb,
-                                s.footprint,
-                                s.pattern,
-                                s.passes,
-                                cold_sharers=(
-                                    len(tile.pes) if s.shared_footprint else 1.0
-                                ),
-                            )
-                        else:
-                            e.count += mb
-                            if not s.shared_footprint:
-                                e.footprint += s.footprint
-                            e.passes = max(e.passes, s.passes)
-                entries = list(agg.values())
-                _solve_level(entries, l1_capacity, params)
-                rates = {
-                    e.region: (1.0 - e.miss / e.count if e.count else 1.0)
-                    for e in entries
-                }
-                for pe in tile.pes:
-                    rows = []
-                    for s in pe.streams:
-                        mb = _miss_bearing(s)
-                        if s.in_spm or mb <= 0:
-                            rows.append((s, 1.0, 0.0))
-                            continue
-                        h1 = rates.get(s.region, 1.0)
-                        rows.append((s, h1, mb * (1.0 - h1)))
-                    per_pe.append(rows)
-            else:
-                for pe in tile.pes:
-                    entries = []
-                    own = []
-                    for s in pe.streams:
-                        mb = _miss_bearing(s)
-                        if s.in_spm or mb <= 0:
-                            own.append((s, None))
-                            continue
-                        e = _Entry(
-                            s.region, mb, s.footprint, s.pattern, s.passes
-                        )
-                        entries.append(e)
-                        own.append((s, e))
-                    _solve_level(entries, l1_capacity, params)
-                    rows = []
-                    for s, e in own:
-                        if e is None:
-                            rows.append((s, 1.0, 0.0))
-                        else:
-                            h1 = 1.0 - e.miss / e.count if e.count else 1.0
-                            rows.append((s, h1, e.miss))
-                    per_pe.append(rows)
-            staged.append(per_pe)
-            # aggregate L1 misses into L2 entries (per tile x region)
-            for rows in per_pe:
-                for s, _h1, m1 in rows:
-                    if s.in_spm or m1 <= 0:
-                        continue
-                    key = (t_idx if not l2_shared else -1, int(s.region))
-                    e = l2_entry_of.get(key)
-                    if e is None:
-                        e = _Entry(
-                            s.region,
-                            0.0,
-                            0.0,
-                            s.pattern,
-                            s.passes,
-                            cold_sharers=1.0,
-                        )
-                        l2_entry_of[key] = e
-                        l2_entries.append(e)
-                    e.count += m1
-                    # Footprints: a shared region appears once per L2
-                    # scope; private ones accumulate.
-                    if s.shared_footprint:
-                        e.footprint = max(e.footprint, s.footprint)
-                    else:
-                        e.footprint += s.footprint
-
-        # ---- Stage 2: L2 solve ----------------------------------------
-        if l2_shared:
-            _solve_level(l2_entries, l2_capacity, params)
+        # ---- Stage 1: L1 hit rates ------------------------------------
+        l1_capacity = mode.l1_cache_words(geom, params)
+        if l1_shared:
+            # one solve per tile over its streams pooled by region
+            by_tile = (n_tiles, -1)
+            pool = _Pool(st.region.reshape(by_tile), cached.reshape(by_tile))
+            shared = st.shared.reshape(by_tile)
+            passes = st.passes.reshape(by_tile)
+            n = pool.fold(mb.reshape(by_tile))
+            # a shared footprint counts once, at the entry's first stream
+            head = np.arange(shared.shape[1]) == pool.first[..., None]
+            fp = _fold(
+                np.where(
+                    pool.member & (head | ~shared[:, None, :]),
+                    st.footprint.reshape(by_tile)[:, None, :],
+                    0.0,
+                )
+            )
+            miss = _solve_level(
+                n,
+                fp,
+                pool.at_first(st.seq.reshape(by_tile)),
+                np.where(pool.member, passes[:, None, :], passes.min()).max(axis=2),
+                l1_capacity,
+                params,
+                sharers=np.where(pool.at_first(shared), st.tile_pes[:, None], 1.0),
+            )
+            h1 = np.where(cached, pool.hit_rates(miss, n).reshape(st.shape), 1.0)
+            m1 = np.where(cached, mb * (1.0 - h1), 0.0)
         else:
-            for t_idx in range(len(profile.tiles)):
-                group = [
-                    e
-                    for (tt, _r), e in l2_entry_of.items()
-                    if tt == t_idx
-                ]
-                _solve_level(group, l2_capacity, params)
-        l2_rate: Dict[Tuple[int, int], float] = {}
-        for key, e in l2_entry_of.items():
-            l2_rate[key] = 1.0 - e.miss / e.count if e.count else 1.0
+            # one solve per PE over its own streams
+            by_pe = (n_tiles * n_pes, n_slots)
+            n = np.where(cached, mb, 0.0)
+            miss = _solve_level(
+                n.reshape(by_pe),
+                st.footprint.reshape(by_pe),
+                st.seq.reshape(by_pe),
+                st.passes.reshape(by_pe),
+                l1_capacity,
+                params,
+            ).reshape(st.shape)
+            h1 = np.where(cached, 1.0 - miss / np.where(cached, n, 1.0), 1.0)
+            m1 = miss  # zero off the cache path
+
+        # ---- Stage 2: L2 hit rates per (tile or system, region) -------
+        scope = (1, -1) if l2_shared else (n_tiles, -1)
+        pool = _Pool(st.region.reshape(scope), (cached & (m1 > 0)).reshape(scope))
+        n = pool.fold(m1.reshape(scope))
+        miss = _solve_level(
+            n,
+            _l2_footprints(
+                pool.member, st.shared.reshape(scope), st.footprint.reshape(scope)
+            ),
+            pool.at_first(st.seq.reshape(scope)),
+            pool.at_first(st.passes.reshape(scope)),
+            mode.l2_words(geom, params),
+            params,
+        )
+        h2 = pool.hit_rates(miss, n).reshape(st.shape)
 
         # ---- Stage 3: latency composition ------------------------------
-        for t_idx, tile in enumerate(profile.tiles):
-            pe_cycles = []
-            for pe, rows in zip(tile.pes, staged[t_idx]):
-                cycles = pe.compute_ops
-                counters.pe_ops += pe.compute_ops
-                for s, h1, m1 in rows:
-                    if s.count <= 0:
-                        continue
-                    if s.in_spm:
-                        cycles += s.count * spm_lat
-                        counters.spm_accesses += s.count
-                        if mode is HWMode.SCS:
-                            counters.xbar_hops += s.count
-                        continue
-                    key = (t_idx if not l2_shared else -1, int(s.region))
-                    h2 = l2_rate.get(key, 1.0)
-                    lat = compose_latency(l1_base, h1, h2, s.pattern, params)
-                    mb = _miss_bearing(s)
-                    cheap_loads = max(s.count - s.writes - mb, 0.0)
-                    cycles += (
-                        mb * lat
-                        + cheap_loads * l1_base
-                        + s.writes * _STORE_COST
-                    )
-                    counters.l1_accesses += s.count
-                    counters.l1_hits += s.count - m1
-                    counters.l2_accesses += m1
-                    counters.l2_hits += h2 * m1
-                    m2 = m1 * (1.0 - h2)
-                    fill = m2 * (s.fill_granule if s.fill_granule else line)
-                    # Read-modify-write streams dirty the lines they
-                    # fetched; the eventual write-back doubles the fill
-                    # traffic (stores themselves hit the fetched line).
-                    writeback = fill if s.writes > 0 else 0.0
-                    counters.dram_words += fill + writeback
-                    if s.pattern == Pattern.SEQUENTIAL:
-                        tally.dram_seq += fill + writeback
-                    else:
-                        tally.dram_rand += fill + writeback
-                    if l1_shared:
-                        counters.xbar_hops += s.count
-                    counters.xbar_hops += m1
-                pe_cycles.append(tally.close_pe(cycles, pe, tile))
-            tally.close_tile(tile, pe_cycles)
+        live = count > 0
+        spm = st.in_spm & live
+        path = ~st.in_spm & live
+        lat = compose_latency(l1_base, h1, h2, self._hide[st.pattern], params)
+        cheap_loads = np.maximum(count - writes - mb, 0.0)
+        access_cycles = np.where(
+            spm,
+            count * spm_lat,
+            np.where(
+                path,
+                mb * lat + cheap_loads * l1_base + writes * _STORE_COST,
+                0.0,
+            ),
+        )
+        compute = pe_grid(profile, "compute_ops", n_pes)
+        cycles = _fold(
+            np.concatenate([compute[..., None], access_cycles], axis=2)
+        )
+        # Read-modify-write streams dirty the lines they fetched; the
+        # eventual write-back doubles the fill traffic (stores themselves
+        # hit the fetched line).
+        fill = m1 * (1.0 - h2) * np.where(st.fill_granule != 0, st.fill_granule, line)
+        traffic = np.where(path, fill + np.where(writes > 0, fill, 0.0), 0.0)
+        dram_seq = np.where(st.seq, traffic, 0.0)
+        m1 = np.where(path, m1, 0.0)
+        l1_accesses = np.where(path, count, 0.0)
+        spm_accesses = np.where(spm, count, 0.0)
+        xbar = np.zeros((n_tiles, n_pes, n_slots, 2))
+        if mode is HWMode.SCS:
+            xbar[..., 0] = spm_accesses
+        if l1_shared:
+            xbar[..., 0] += l1_accesses
+        xbar[..., 1] = m1
+        tally = Tally(geom, params)
+        tally.settle(
+            profile,
+            cycles,
+            {
+                "pe_ops": compute[..., None],
+                "spm_accesses": spm_accesses,
+                "l1_accesses": l1_accesses,
+                "l1_hits": l1_accesses - m1,
+                "l2_accesses": m1,
+                "l2_hits": h2 * m1,
+                "dram_words": traffic,
+                "xbar_hops": xbar.reshape(n_tiles, n_pes, 2 * n_slots),
+                "dram_seq": dram_seq,
+                "dram_rand": traffic - dram_seq,
+            },
+        )
         return tally.report(profile, "analytic")

@@ -11,12 +11,16 @@ configurations consistently.
 
 from __future__ import annotations
 
-from typing import List
+from dataclasses import fields
+from operator import attrgetter
+from typing import Dict, List
+
+import numpy as np
 
 from .geometry import Geometry
 from .hwconfig import HWMode, Sharing
 from .params import HardwareParams
-from .profile import KernelProfile, PEProfile, Pattern, TileProfile
+from .profile import KernelProfile, Pattern
 from .stats import MemCounters, RunReport, TileReport
 
 __all__ = [
@@ -26,6 +30,7 @@ __all__ = [
     "spm_latency",
     "l1_base_latency",
     "bandwidth_floor_cycles",
+    "pe_grid",
     "Tally",
 ]
 
@@ -47,21 +52,19 @@ def hide_fraction(pattern: str, params: HardwareParams) -> float:
     return 1.0 - params.random_hide_fraction  # DEPENDENT
 
 
-def compose_latency(
-    base_l1: float,
-    h1: float,
-    h2: float,
-    pattern: str,
-    params: HardwareParams,
-) -> float:
-    """Mean cycles per access given L1/L2 hit rates and the pattern."""
-    hide = hide_fraction(pattern, params)
+def compose_latency(base_l1, h1, h2, hide, params: HardwareParams):
+    """Mean cycles per access given L1/L2 hit rates and the visible
+    miss fraction ``hide`` (:func:`hide_fraction` of the pattern).
+
+    Elementwise when the rates and fractions are arrays.
+    """
     l2_extra = max(params.l2_hit_latency - base_l1, 0.0)
     dram_extra = max(params.dram_latency - params.l2_hit_latency, 0.0)
+    miss1 = 1.0 - h1
     return (
         base_l1
-        + (1.0 - h1) * hide * l2_extra
-        + (1.0 - h1) * (1.0 - h2) * hide * dram_extra
+        + miss1 * hide * l2_extra
+        + miss1 * (1.0 - h2) * hide * dram_extra
     )
 
 
@@ -129,13 +132,36 @@ def bandwidth_floor_cycles(
     )
 
 
+#: What :meth:`Tally.settle` folds: the counters, then the HBM pools.
+_LANES = tuple(f.name for f in fields(MemCounters)) + ("dram_seq", "dram_rand")
+_LANE = {name: i for i, name in enumerate(_LANES)}
+#: Lanes an SPM fill charges (its words cross HBM into the scratchpad).
+_FILLED = [_LANE["dram_words"], _LANE["spm_accesses"], _LANE["dram_seq"]]
+
+
+def pe_grid(profile: KernelProfile, attr: str, width: int) -> np.ndarray:
+    """A PE attribute as a ``(tile, PE)`` float array, zero-padded to
+    ``width`` PEs per tile."""
+    get = attrgetter(attr)
+    tiles = profile.tiles
+    pes = [pe for tile in tiles for pe in tile.pes]
+    values = np.fromiter(map(get, pes), dtype=float, count=len(pes))
+    if len(pes) == len(tiles) * width:
+        return values.reshape(len(tiles), width)
+    out = np.zeros((len(tiles), width))
+    start = 0
+    for t, tile in enumerate(tiles):
+        out[t, : len(tile.pes)] = values[start : start + len(tile.pes)]
+        start += len(tile.pes)
+    return out
+
+
 class Tally:
     """Counters, HBM traffic pools and tile timings of one pricing.
 
-    An engine adds each PE's compute and access cycles and counters as it
-    derives them from its hit rates, then hands every PE to
-    :meth:`close_pe`, every tile to :meth:`close_tile`, and finishes with
-    :meth:`report`.
+    An engine derives each PE's compute and access cycles and the
+    counter charges of its accesses from its hit rates, hands them all
+    to :meth:`settle`, and finishes with :meth:`report`.
     """
 
     def __init__(self, geometry: Geometry, params: HardwareParams):
@@ -151,41 +177,76 @@ class Tally:
         #: Cycles per SPM-fill word the PEs wait out (un-overlapped part).
         self.visible_fill = fill_rate * (1.0 - params.spm_fill_overlap)
 
-    def close_pe(self, cycles: float, pe: PEProfile, tile: TileProfile) -> float:
-        """Add the PE's (and its tile's shared) SPM-fill charge to
-        ``cycles`` and return the PE's total."""
-        if pe.spm_fill_words:
-            cycles += pe.spm_fill_words * self.visible_fill
-            self.counters.dram_words += pe.spm_fill_words
-            self.counters.spm_accesses += pe.spm_fill_words
-            self.dram_seq += pe.spm_fill_words
-        if tile.spm_fill_words:
-            cycles += tile.spm_fill_words * self.visible_fill
-        return cycles
+    def settle(
+        self,
+        profile: KernelProfile,
+        cycles: np.ndarray,
+        charges: Dict[str, np.ndarray],
+    ) -> None:
+        """Charge the SPM fills and every tile's LCP serial tail, fold
+        all charges into the counters and pools, and record the tiles.
 
-    def close_tile(self, tile: TileProfile, pe_cycles: List[float]) -> None:
-        """Charge the LCP serial tail — OP's merge and its dependent
-        read-modify-write of output rows — and the tile's shared SPM
-        fill traffic, then record the tile."""
-        params, counters = self.params, self.counters
-        out_rows = tile.lcp_output_words / 2.0  # (index, value) pairs
-        lcp_cycles = (
-            tile.lcp_serial_elements * params.lcp_cycles_per_element
-            + out_rows * params.lcp_rmw_cycles_per_row
-            + tile.lcp_compute_ops
+        ``cycles`` holds each PE's compute and access cycles as a
+        ``(tile, PE)`` array (padded PEs are dropped).  ``charges`` maps
+        a :class:`MemCounters` field, ``"dram_seq"`` or ``"dram_rand"``
+        to a ``(tile, PE, k)`` array: the PE's addends in the order the
+        engine charged them.  Every counter is a left fold in program
+        order — tile by tile, each PE's addends then its SPM fill, then
+        the tile's LCP traffic and shared fill — so the floats do not
+        depend on how an engine batches its work.
+        """
+        params, vf = self.params, self.visible_fill
+        tiles = profile.tiles
+        n_tiles, n_pes = cycles.shape
+        # Each PE waits out its own and its tile's shared SPM fill.
+        pe_fill = pe_grid(profile, "spm_fill_words", n_pes)
+        tile_fill = np.array([t.spm_fill_words for t in tiles], dtype=float)
+        cycles = cycles + pe_fill * vf + tile_fill[:, None] * vf
+
+        # Lane by lane, tile by tile: each PE's addends and its SPM fill
+        # (the last column), then one more row for the tile's LCP traffic
+        # and shared fill.
+        width = max(a.shape[2] for a in charges.values()) + 1
+        lanes = np.zeros((len(_LANES), n_tiles, n_pes + 1, width))
+        for name, addends in charges.items():
+            lanes[_LANE[name], :, :n_pes, : addends.shape[2]] = addends
+        lanes[_FILLED, :, :n_pes, width - 1] = pe_fill
+        lanes[_FILLED, :, n_pes, 1] = tile_fill
+        # The LCP serial tail — OP's merge and its dependent
+        # read-modify-write of output rows — and its RMW traffic: read
+        # the old row value, write the new one.
+        lcp_cycles = []
+        lcp_ops, rmw_words, rmw_rows, lcp_words = [], [], [], []
+        for tile in tiles:
+            out_rows = tile.lcp_output_words / 2.0  # (index, value) pairs
+            lcp_cycles.append(
+                tile.lcp_serial_elements * params.lcp_cycles_per_element
+                + out_rows * params.lcp_rmw_cycles_per_row
+                + tile.lcp_compute_ops
+            )
+            lcp_ops.append(tile.lcp_serial_elements * 4 + tile.lcp_compute_ops)
+            rmw_words.append(out_rows + tile.lcp_output_words)
+            rmw_rows.append(out_rows)
+            lcp_words.append(tile.lcp_output_words)
+        lanes[_LANE["lcp_ops"], :, n_pes, 0] = lcp_ops
+        lanes[_LANE["dram_words"], :, n_pes, 0] = rmw_words
+        lanes[_LANE["dram_rand"], :, n_pes, 0] = rmw_rows
+        lanes[_LANE["dram_seq"], :, n_pes, 0] = lcp_words
+
+        start = [getattr(self.counters, n) for n in _LANES[:-2]]
+        start += [self.dram_seq, self.dram_rand]
+        flat = np.concatenate(
+            [np.array(start)[:, None], lanes.reshape(len(_LANES), -1)], axis=1
         )
-        counters.lcp_ops += tile.lcp_serial_elements * 4 + tile.lcp_compute_ops
-        # RMW traffic: read the old row value, write the new one.
-        counters.dram_words += out_rows + tile.lcp_output_words
-        self.dram_rand += out_rows
-        self.dram_seq += tile.lcp_output_words
-        if tile.spm_fill_words:
-            counters.dram_words += tile.spm_fill_words
-            counters.spm_accesses += tile.spm_fill_words
-            self.dram_seq += tile.spm_fill_words
-        self.tile_reports.append(
-            TileReport(pe_cycles=pe_cycles, lcp_cycles=lcp_cycles)
-        )
+        totals = np.add.accumulate(flat, axis=1)[:, -1].tolist()
+        for name, total in zip(_LANES[:-2], totals):
+            setattr(self.counters, name, total)
+        self.dram_seq, self.dram_rand = totals[-2:]
+
+        for tile, row, lcp in zip(tiles, cycles.tolist(), lcp_cycles):
+            self.tile_reports.append(
+                TileReport(pe_cycles=row[: len(tile.pes)], lcp_cycles=lcp)
+            )
 
     def report(self, profile: KernelProfile, fidelity: str) -> RunReport:
         """The system finishes with its slowest tile unless the HBM

@@ -10,19 +10,35 @@ replay when every PE carries a trace, the closed-form model otherwise.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Union
 
 from ..errors import ConfigurationError
+from ..perf import counters as _perf
 from .analytic import AnalyticModel
 from .energy import EnergyModel
 from .geometry import Geometry
 from .hwconfig import HWMode
 from .params import DEFAULT_PARAMS, HardwareParams
 from .profile import KernelProfile
-from .stats import RunReport
+from .stats import RunReport, TileReport
 from .trace import TraceEngine
 
 __all__ = ["TransmuterSystem"]
+
+
+def _copy(report: RunReport) -> RunReport:
+    """A report sharing no mutable part with ``report``, energy unset."""
+    return replace(
+        report,
+        counters=replace(report.counters),
+        tile_reports=[
+            TileReport(list(t.pe_cycles), t.lcp_cycles)
+            for t in report.tile_reports
+        ],
+        energy_j=None,
+        detail=dict(report.detail),
+    )
 
 
 class TransmuterSystem:
@@ -72,14 +88,25 @@ class TransmuterSystem:
     # ------------------------------------------------------------------
     def _price(self, profile: KernelProfile) -> RunReport:
         """Trace replay when the profile carries traces, else analytic."""
+        _perf.model_pricings += 1
         if profile.has_traces():
             return self._trace.evaluate(profile)
         return self._analytic.evaluate(profile)
 
-    def run(self, profile: KernelProfile, with_energy: bool = True) -> RunReport:
-        """Price one kernel invocation, reconfiguring first if needed."""
+    def run(
+        self,
+        profile: KernelProfile,
+        with_energy: bool = True,
+        priced: Optional[RunReport] = None,
+    ) -> RunReport:
+        """Price one kernel invocation, reconfiguring first if needed.
+
+        ``priced`` is a report :meth:`evaluate_without_switching` already
+        returned for this profile (the oracle's winning probe): it is
+        copied instead of priced again, and left as it was.
+        """
         reconfig = self.configure(profile.mode)
-        report = self._price(profile)
+        report = self._price(profile) if priced is None else _copy(priced)
         report.cycles += reconfig
         report.reconfig_cycles = reconfig
         if with_energy:

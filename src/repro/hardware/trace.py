@@ -28,7 +28,13 @@ from ..errors import SimulationError
 from .cache import BankedCache, interleave_round_robin
 from .geometry import Geometry
 from .hwconfig import HWMode, Sharing
-from .latency import Tally, compose_latency, l1_base_latency, spm_latency
+from .latency import (
+    Tally,
+    compose_latency,
+    hide_fraction,
+    l1_base_latency,
+    spm_latency,
+)
 from .params import HardwareParams
 from .profile import KernelProfile, Pattern, Region
 from .stats import RunReport
@@ -59,6 +65,30 @@ def _merge_streams(streams) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
         addrs[sel] = a[pos[sel]]
         writes[sel] = w[pos[sel]]
     return addrs, writes, src, pos
+
+
+#: The counters and HBM pools the replayed accesses charge.
+_CHARGED = (
+    "pe_ops",
+    "spm_accesses",
+    "l1_accesses",
+    "l1_hits",
+    "l2_accesses",
+    "l2_hits",
+    "dram_words",
+    "dram_seq",
+    "dram_rand",
+    "xbar_hops",
+)
+
+
+def _grid(per_pe: Dict[Tuple[int, int], List[float]], shape) -> np.ndarray:
+    """Per-PE addend lists as a zero-padded ``(tile, PE, k)`` array."""
+    width = max(max((len(a) for a in per_pe.values()), default=0), 1)
+    out = np.zeros((*shape, width))
+    for (t, p), addends in per_pe.items():
+        out[t, p, : len(addends)] = addends
+    return out
 
 
 def _split_hits(
@@ -177,16 +207,18 @@ class TraceEngine:
                 l2_writebacks += l2.writebacks
 
         # --- latency composition ------------------------------------------
+        n_pes = max(max(len(tile.pes) for tile in profile.tiles), 1)
+        cycles = np.zeros((len(staged), n_pes))
+        charges = {name: {} for name in _CHARGED}
         for t_idx, (tile, parts, hit1, spm_counts, patterns) in enumerate(staged):
-            pe_cycles = []
             for p_idx, pe in enumerate(tile.pes):
                 regs, _addrs, _writes = parts[p_idx]
                 h1_mask = hit1[p_idx]
                 h2_mask = hit2_of[(t_idx, p_idx)]
-                cycles = pe.compute_ops
-                counters.pe_ops += pe.compute_ops
-                cycles += spm_counts[p_idx] * spm_lat
-                counters.spm_accesses += spm_counts[p_idx]
+                pe_cycles = pe.compute_ops + spm_counts[p_idx] * spm_lat
+                rows = {name: [] for name in _CHARGED}
+                rows["pe_ops"].append(pe.compute_ops)
+                rows["spm_accesses"].append(spm_counts[p_idx])
 
                 miss_regs = regs[~h1_mask]
                 for region in np.unique(regs):
@@ -197,25 +229,34 @@ class TraceEngine:
                     m1 = int(m_sel.sum())
                     h2 = float(h2_mask[m_sel].sum()) / m1 if m1 else 1.0
                     pattern = patterns.get(Region(int(region)), Pattern.RANDOM)
-                    lat = compose_latency(l1_base, h1, h2, pattern, params)
-                    cycles += count * lat
-                    counters.l1_accesses += count
-                    counters.l1_hits += h1 * count
-                    counters.l2_accesses += m1
-                    counters.l2_hits += h2 * m1
+                    hide = hide_fraction(pattern, params)
+                    lat = compose_latency(l1_base, h1, h2, hide, params)
+                    pe_cycles += count * lat
+                    rows["l1_accesses"].append(count)
+                    rows["l1_hits"].append(h1 * count)
+                    rows["l2_accesses"].append(m1)
+                    rows["l2_hits"].append(h2 * m1)
                     m2 = m1 - int(h2_mask[m_sel].sum())
                     fill = m2 * line
-                    counters.dram_words += fill
+                    rows["dram_words"].append(fill)
                     if pattern == Pattern.SEQUENTIAL:
-                        tally.dram_seq += fill
+                        rows["dram_seq"].append(fill)
                     else:
-                        tally.dram_rand += fill
+                        rows["dram_rand"].append(fill)
                     if mode.l1_sharing is Sharing.SHARED:
-                        counters.xbar_hops += count
-                    counters.xbar_hops += m1
-
-                pe_cycles.append(tally.close_pe(cycles, pe, tile))
-            tally.close_tile(tile, pe_cycles)
+                        rows["xbar_hops"].append(count)
+                    rows["xbar_hops"].append(m1)
+                cycles[t_idx, p_idx] = pe_cycles
+                for name, addends in rows.items():
+                    charges[name][(t_idx, p_idx)] = addends
+        tally.settle(
+            profile,
+            cycles,
+            {
+                name: _grid(per_pe, cycles.shape)
+                for name, per_pe in charges.items()
+            },
+        )
 
         wb_words = l2_writebacks * line
         counters.dram_words += wb_words

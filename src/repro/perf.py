@@ -50,11 +50,17 @@ class PerfCounters:
         ``kernel_profile_only``, so the sequential invariants still hold;
         this counter isolates how much work went through the batch path.
     kernel_probe_discarded:
-        Pricing probes whose winning result was thrown away instead of
-        reused.  ``spmv_batch`` runs oracle/adaptive probes per column
-        but the batched kernel always recomputes the winner (a known
-        inefficiency, docs/model.md §6b); sequential ``spmv`` reuses the
-        winner when it executed, so this isolates the wasted probes.
+        Pricing probes whose winning functional result was thrown away
+        instead of reused.  ``spmv_batch`` runs oracle/adaptive probes
+        per column but the batched kernel always recomputes the winner's
+        values (a known inefficiency, docs/model.md §6b) — the probe's
+        report is still committed; sequential ``spmv`` reuses the winner
+        when it executed, so this isolates the wasted probes.
+    model_pricings:
+        Profiles priced by the hardware model (analytic or trace), one
+        per ``TransmuterSystem._price``.  An oracle ``spmv`` prices its
+        four candidates and commits the winner's report, so it counts
+        4; tree and static invocations price their one kernel.
     trace_accesses:
         Words replayed through the batched cache engine.
     pricing_tasks:
@@ -99,6 +105,7 @@ class PerfCounters:
     kernel_profile_only: int = 0
     kernel_batched_columns: int = 0
     kernel_probe_discarded: int = 0
+    model_pricings: int = 0
     trace_accesses: int = 0
     pricing_tasks: int = 0
     pricing_cache_hits: int = 0

@@ -7,19 +7,32 @@ needs only the :class:`KernelProfile`, so the probes run with
 double-execution bug, where the winner was re-run after ``_compare``).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core import CoSparseRuntime
 from repro.errors import ReproError
-from repro.formats import CSCMatrix
+from repro.formats import CSCMatrix, MultiVector
 from repro.graphs import Graph, bfs
 from repro.hardware import Geometry, HWMode, TransmuterSystem
 from repro.perf import counters as perf_counters
-from repro.spmv import inner_product, outer_product, spmv_semiring
+from repro.spmv import (
+    inner_product,
+    outer_product,
+    spmv_semiring,
+    sssp_semiring,
+)
 from repro.workloads import random_frontier, uniform_random
 
 GEOM = Geometry.parse("2x8")
+
+
+def exact(report) -> str:
+    """Every :class:`RunReport` field by exact value and kind (``repr``
+    tells ``0`` from ``0.0`` and round-trips every float)."""
+    return repr(dataclasses.asdict(report))
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +57,7 @@ class TestKernelProfileOnly:
         assert full.executed and not probe.executed
         r_full = system.evaluate_without_switching(full.profile)
         r_probe = system.evaluate_without_switching(probe.profile)
-        assert r_probe.cycles == pytest.approx(r_full.cycles)
+        assert exact(r_probe) == exact(r_full)
 
     def test_op_profile_matches_executed(self, matrix):
         sr = spmv_semiring()
@@ -56,7 +69,44 @@ class TestKernelProfileOnly:
         assert full.executed and not probe.executed
         r_full = system.evaluate_without_switching(full.profile)
         r_probe = system.evaluate_without_switching(probe.profile)
-        assert r_probe.cycles == pytest.approx(r_full.cycles)
+        assert exact(r_probe) == exact(r_full)
+
+    @pytest.mark.parametrize("algorithm, mode", [
+        ("ip", HWMode.SC), ("ip", HWMode.SCS),
+        ("op", HWMode.PC), ("op", HWMode.PS), ("op", HWMode.SC),
+    ])
+    @pytest.mark.parametrize("with_current", [False, True])
+    def test_probe_prices_exactly_like_executed(
+        self, matrix, algorithm, mode, with_current
+    ):
+        """The runtime commits the winning probe's report for the
+        executed kernel, so the two must agree in every field and bit.
+        SSSP carries its output from the current distances."""
+        sr = sssp_semiring() if with_current else spmv_semiring()
+        rng = np.random.default_rng(7)
+        current = (
+            rng.uniform(0.0, 9.0, matrix.n_rows) if with_current else None
+        )
+        sv = random_frontier(matrix.n_cols, 0.3 if algorithm == "ip" else 0.01,
+                             seed=8)
+        system = TransmuterSystem(GEOM)
+        reports = []
+        for profile_only in (False, True):
+            if algorithm == "ip":
+                dense = np.full(matrix.n_cols, sr.absent)
+                dense[sv.indices] = sv.values
+                result = inner_product(
+                    matrix, dense, sr, GEOM, mode, current=current,
+                    profile_only=profile_only,
+                )
+            else:
+                result = outer_product(
+                    CSCMatrix.from_coo(matrix), sv, sr, GEOM, mode,
+                    current=current, profile_only=profile_only,
+                )
+            assert result.executed is not profile_only
+            reports.append(system.evaluate_without_switching(result.profile))
+        assert exact(reports[0]) == exact(reports[1])
 
     def test_op_exact_path_executes_anyway(self, matrix):
         """with_trace forces the element-by-element merge, whose values
@@ -127,6 +177,80 @@ class TestOracleCounting:
         assert result.executed
         ran_ip = rt.last_record.algorithm == "ip"
         assert perf_counters.kernel_executions == (3 if ran_ip else 2)
+
+
+class TestCommittedProbeReport:
+    """The oracle commits a copy of its winning probe's report."""
+
+    def _check(self, rt, record):
+        probe = record.alternatives[record.config_label]
+        committed = record.report
+        assert committed is not probe
+        assert committed.counters is not probe.counters
+        assert committed.tile_reports is not probe.tile_reports
+        assert not {id(t) for t in committed.tile_reports} & {
+            id(t) for t in probe.tile_reports
+        }
+        assert committed.detail is not probe.detail
+        # the probe stays as priced: no switch charge, its own energy
+        assert probe.reconfig_cycles == 0.0
+        assert probe.energy_j == rt.system.energy_model.energy_j(probe)
+        assert committed.cycles == probe.cycles + committed.reconfig_cycles
+        assert committed.counters == probe.counters
+        assert committed.tile_reports == probe.tile_reports
+        assert committed.energy_j == rt.system.energy_model.energy_j(committed)
+
+    def test_spmv_record_shares_nothing_with_its_probe(self, matrix):
+        rt = CoSparseRuntime(matrix, GEOM, policy="oracle")
+        sr = spmv_semiring()
+        for i, d in enumerate((0.002, 0.3, 0.004)):
+            rt.spmv(random_frontier(matrix.n_cols, d, seed=50 + i), sr)
+        assert any(r.report.reconfig_cycles > 0 for r in rt.log.records)
+        for record in rt.log.records:
+            self._check(rt, record)
+
+    def test_batch_record_shares_nothing_with_its_probe(self, matrix):
+        rt = CoSparseRuntime(matrix, GEOM, policy="oracle")
+        cols = [
+            random_frontier(matrix.n_cols, d, seed=60 + i)
+            for i, d in enumerate((0.002, 0.5, 0.01))
+        ]
+        rt.spmv_batch(MultiVector(cols), spmv_semiring())
+        assert len(rt.log.records) == 3
+        for record in rt.log.records:
+            self._check(rt, record)
+
+
+class TestModelPricings:
+    """``model_pricings`` per invocation: the oracle prices its four
+    candidates and commits the winner's report without pricing it again."""
+
+    @pytest.mark.parametrize("policy, pricings", [
+        ("oracle", 4), ("tree", 1), ("static", 1),
+    ])
+    def test_per_spmv(self, matrix, policy, pricings):
+        rt = CoSparseRuntime(matrix, GEOM, policy=policy)
+        sr = spmv_semiring()
+        for i, d in enumerate((0.002, 0.05, 0.5)):
+            perf_counters.reset()
+            rt.spmv(random_frontier(matrix.n_cols, d, seed=70 + i), sr)
+            assert perf_counters.model_pricings == pricings
+
+    def test_adaptive_in_band(self, matrix):
+        rt = CoSparseRuntime(matrix, GEOM, policy="adaptive")
+        cvd = rt.tree.crossover_density(rt.operand.info)
+        rt.spmv(random_frontier(matrix.n_cols, cvd, seed=80), spmv_semiring())
+        assert len(rt.last_record.alternatives) == 2
+        assert perf_counters.model_pricings == 2
+
+    def test_oracle_batch(self, matrix):
+        rt = CoSparseRuntime(matrix, GEOM, policy="oracle")
+        cols = [
+            random_frontier(matrix.n_cols, d, seed=90 + i)
+            for i, d in enumerate((0.002, 0.5, 0.01))
+        ]
+        rt.spmv_batch(MultiVector(cols), spmv_semiring())
+        assert perf_counters.model_pricings == 4 * len(cols)
 
 
 class TestConversionMemoization:

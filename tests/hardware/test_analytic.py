@@ -17,7 +17,7 @@ from repro.hardware import (
     Region,
     TileProfile,
 )
-from repro.hardware.analytic import AnalyticModel, _miss_bearing
+from repro.hardware.analytic import AnalyticModel, _miss_bearing, _Streams
 
 
 def make_profile(mode, streams_per_pe, geometry, ops=1000.0, **tile_kw):
@@ -266,13 +266,20 @@ class TestReconfigurationDirections:
         assert cycles(model, pc) < cycles(model, ps)
 
 
+def miss_bearing(stream):
+    """``_miss_bearing`` of one stream, read through the stream table."""
+    profile = KernelProfile("op", HWMode.PC, [TileProfile([PEProfile(streams=[stream])])])
+    table = _Streams(profile)
+    return float(_miss_bearing(table.count, table.writes, table.distinct)[0, 0, 0])
+
+
 class TestMissBearing:
     def test_writes_excluded(self):
         s = AccessStream(Region.VECTOR_OUT, 100, Pattern.RANDOM, 10, writes=40)
-        assert _miss_bearing(s) == 60
+        assert miss_bearing(s) == 60
 
     def test_distinct_touches_cap(self):
         s = AccessStream(
             Region.VECTOR_OUT, 100, Pattern.RANDOM, 10, distinct_touches=25
         )
-        assert _miss_bearing(s) == 25
+        assert miss_bearing(s) == 25

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hardware import DEFAULT_PARAMS
-from repro.hardware.analytic import _Entry, _solve_level
+from repro.hardware.analytic import _solve_level
 from repro.hardware.cache import BankedCache, CacheBank
-from repro.hardware.profile import Pattern, Region
+from repro.hardware.profile import Pattern
 
 
 class _ReferenceLRU:
@@ -63,9 +63,19 @@ class TestLRUAgainstReference:
         assert list(mask) == loop
 
 
+def _solve(entries, capacity):
+    """Miss counts of one cache level over ``(count, footprint, pattern,
+    passes)`` entries."""
+    rows = np.array([[e[0], e[1], e[3]] for e in entries], dtype=float).T
+    count, footprint, passes = rows[:, None, :]
+    seq = np.array([[e[2] == Pattern.SEQUENTIAL for e in entries]])
+    miss = _solve_level(count, footprint, seq, passes, capacity, DEFAULT_PARAMS)
+    return miss[0].tolist()
+
+
 class TestFluxSolver:
     def entry(self, count, footprint, pattern=Pattern.RANDOM, passes=1):
-        return _Entry(Region.VECTOR_IN, count, footprint, pattern, passes)
+        return (count, footprint, pattern, passes)
 
     @given(
         count=st.floats(1, 1e6),
@@ -74,9 +84,8 @@ class TestFluxSolver:
     )
     @settings(max_examples=100, deadline=None)
     def test_misses_bounded(self, count, footprint, capacity):
-        e = self.entry(count, footprint)
-        _solve_level([e], capacity, DEFAULT_PARAMS)
-        assert 0.0 <= e.miss <= count + 1e-9
+        [miss] = _solve([self.entry(count, footprint)], capacity)
+        assert 0.0 <= miss <= count + 1e-9
 
     @given(
         count=st.floats(100, 1e5),
@@ -84,28 +93,38 @@ class TestFluxSolver:
     )
     @settings(max_examples=60, deadline=None)
     def test_monotone_in_capacity(self, count, footprint):
-        small = self.entry(count, footprint)
-        big = self.entry(count, footprint)
-        _solve_level([small], 1024.0, DEFAULT_PARAMS)
-        _solve_level([big], 64 * 1024.0, DEFAULT_PARAMS)
-        assert big.miss <= small.miss + 1e-6
+        e = self.entry(count, footprint)
+        [small] = _solve([e], 1024.0)
+        [big] = _solve([e], 64 * 1024.0)
+        assert big <= small + 1e-6
 
     def test_tiny_footprint_always_hits_after_cold(self):
-        e = self.entry(100_000, 64)
-        _solve_level([e], 4096, DEFAULT_PARAMS)
-        assert e.miss <= 64 / DEFAULT_PARAMS.cache_line_words + 1.0
+        [miss] = _solve([self.entry(100_000, 64)], 4096)
+        assert miss <= 64 / DEFAULT_PARAMS.cache_line_words + 1.0
 
     def test_streaming_competitor_degrades_random_stream(self):
-        alone = self.entry(50_000, 8_000)
-        _solve_level([alone], 8_192, DEFAULT_PARAMS)
-        shared = self.entry(50_000, 8_000)
-        stream = _Entry(
-            Region.MATRIX, 150_000, 150_000, Pattern.SEQUENTIAL, 1
-        )
-        _solve_level([shared, stream], 8_192, DEFAULT_PARAMS)
-        assert shared.miss >= alone.miss
+        random = self.entry(50_000, 8_000)
+        [alone] = _solve([random], 8_192)
+        stream = self.entry(150_000, 150_000, Pattern.SEQUENTIAL, 1)
+        shared, _ = _solve([random, stream], 8_192)
+        assert shared >= alone
 
     def test_empty_level(self):
-        e = self.entry(0, 0)
-        _solve_level([e], 1024, DEFAULT_PARAMS)
-        assert e.miss == 0.0
+        assert _solve([self.entry(0, 0)], 1024) == [0.0]
+
+    def test_rows_are_independent_caches(self):
+        """One solve over many rows equals one solve per row."""
+        rows = [
+            [self.entry(50_000, 8_000), self.entry(1_000, 100_000)],
+            [self.entry(0, 0), self.entry(20_000, 600, Pattern.DEPENDENT)],
+            [self.entry(90_000, 90_000, Pattern.SEQUENTIAL, 2),
+             self.entry(5, 5)],
+        ]
+        alone = [_solve(r, 8_192) for r in rows]
+        table = np.array([[[e[0], e[1], e[3]] for e in r] for r in rows])
+        seq = np.array([[e[2] == Pattern.SEQUENTIAL for e in r] for r in rows])
+        together = _solve_level(
+            table[..., 0], table[..., 1], seq, table[..., 2], 8_192,
+            DEFAULT_PARAMS,
+        )
+        assert together.tolist() == alone

@@ -27,28 +27,33 @@ class TestHideFractions:
             assert 0.0 <= hide_fraction(p, DEFAULT_PARAMS) <= 1.0
 
 
+def _latency(base_l1, h1, h2, pattern):
+    hide = hide_fraction(pattern, DEFAULT_PARAMS)
+    return compose_latency(base_l1, h1, h2, hide, DEFAULT_PARAMS)
+
+
 class TestCompose:
     def test_all_hits_cost_base(self):
-        lat = compose_latency(1.5, 1.0, 1.0, Pattern.RANDOM, DEFAULT_PARAMS)
+        lat = _latency(1.5, 1.0, 1.0, Pattern.RANDOM)
         assert lat == pytest.approx(1.5)
 
     def test_l2_hits_add_visible_fraction(self):
-        lat = compose_latency(1.0, 0.0, 1.0, Pattern.DEPENDENT, DEFAULT_PARAMS)
+        lat = _latency(1.0, 0.0, 1.0, Pattern.DEPENDENT)
         expected = 1.0 + 0.9 * (DEFAULT_PARAMS.l2_hit_latency - 1.0)
         assert lat == pytest.approx(expected)
 
     def test_dram_misses_dominate(self):
-        all_dram = compose_latency(1.0, 0.0, 0.0, Pattern.DEPENDENT, DEFAULT_PARAMS)
+        all_dram = _latency(1.0, 0.0, 0.0, Pattern.DEPENDENT)
         assert all_dram > 0.8 * DEFAULT_PARAMS.dram_latency * 0.9
 
     def test_monotone_in_hit_rates(self):
-        worse = compose_latency(1.0, 0.2, 0.2, Pattern.RANDOM, DEFAULT_PARAMS)
-        better = compose_latency(1.0, 0.8, 0.8, Pattern.RANDOM, DEFAULT_PARAMS)
+        worse = _latency(1.0, 0.2, 0.2, Pattern.RANDOM)
+        better = _latency(1.0, 0.8, 0.8, Pattern.RANDOM)
         assert better < worse
 
     def test_prefetch_hides_stream_misses(self):
-        seq = compose_latency(1.0, 0.0, 0.0, Pattern.SEQUENTIAL, DEFAULT_PARAMS)
-        dep = compose_latency(1.0, 0.0, 0.0, Pattern.DEPENDENT, DEFAULT_PARAMS)
+        seq = _latency(1.0, 0.0, 0.0, Pattern.SEQUENTIAL)
+        dep = _latency(1.0, 0.0, 0.0, Pattern.DEPENDENT)
         assert seq < dep / 3
 
 

@@ -12,7 +12,8 @@ A change that alters modelled results on purpose re-records the file::
 
     PYTHONPATH=src python tests/test_behaviour_lock.py --record
 
-and says why in CHANGES.md.
+and says why in CHANGES.md.  New cases are added without touching the
+recorded digests by ``--add``, which records only the missing names.
 """
 
 from __future__ import annotations
@@ -31,7 +32,16 @@ import pytest
 from repro.core import CoSparseRuntime
 from repro.formats import COOMatrix, CSCMatrix, MultiVector, SparseVector
 from repro.graphs import Graph, bfs, pagerank, sssp
-from repro.hardware import Geometry, HWMode, TransmuterSystem
+from repro.hardware import DEFAULT_PARAMS, Geometry, HWMode, TransmuterSystem
+from repro.hardware.analytic import AnalyticModel
+from repro.hardware.profile import (
+    AccessStream,
+    KernelProfile,
+    Pattern,
+    PEProfile,
+    Region,
+    TileProfile,
+)
 from repro.spmv import (
     bfs_semiring,
     cf_semiring,
@@ -471,10 +481,161 @@ def _run_batch():
     )
 
 
+def _random_stream(rng) -> AccessStream:
+    """One stream drawn to reach every branch of the analytic model:
+    zero counts, write-only and read-modify-write streams, register-run
+    caps, word-granular fills, re-streamed footprints, scratchpad
+    placement and mixed shared/private footprints within a region."""
+    count = float(rng.integers(1, 200_000)) * rng.choice([0.0, 1.0, 1.0, 1.0])
+    if rng.random() < 0.3:
+        count = int(count)  # kernels pass integer counts too
+    footprint = float(np.exp(rng.uniform(0.0, np.log(2e5))))
+    pattern = Pattern.ALL[rng.integers(len(Pattern.ALL))]
+    writes = 0.0
+    if rng.random() < 0.3:
+        writes = count if rng.random() < 0.3 else count * rng.random()
+    distinct = None
+    if rng.random() < 0.3:
+        distinct = float(rng.integers(0, max(int(count), 1) + 1))
+    return AccessStream(
+        Region(int(rng.integers(len(Region)))),
+        count=count,
+        pattern=pattern,
+        footprint=footprint,
+        in_spm=bool(rng.random() < 0.2),
+        shared_footprint=bool(rng.random() < 0.5),
+        passes=int(rng.choice([1, 1, 2, 3])),
+        writes=writes,
+        distinct_touches=distinct,
+        fill_granule=int(rng.choice([0, 0, 1, 4])),
+    )
+
+
+def _random_profile(geom: Geometry, mode: HWMode, seed: int) -> KernelProfile:
+    """A seeded synthetic profile; about one PE in six is idle (no
+    streams, integer zero compute)."""
+    rng = np.random.default_rng(seed)
+    tiles = []
+    for _t in range(geom.tiles):
+        pes = []
+        for _p in range(geom.pes_per_tile):
+            if rng.random() < 0.15:
+                pes.append(PEProfile(compute_ops=0))
+                continue
+            pes.append(
+                PEProfile(
+                    compute_ops=float(rng.integers(0, 50_000)),
+                    streams=[
+                        _random_stream(rng)
+                        for _ in range(int(rng.integers(0, 6)))
+                    ],
+                    spm_fill_words=float(rng.choice([0, 0, 0, 512])),
+                )
+            )
+        tiles.append(
+            TileProfile(
+                pes=pes,
+                lcp_serial_elements=float(rng.integers(0, 5_000)),
+                lcp_output_words=float(rng.integers(0, 3) * 1_000),
+                lcp_compute_ops=float(rng.integers(0, 100)),
+                spm_fill_words=float(rng.choice([0, 2048])),
+            )
+        )
+    return KernelProfile(
+        algorithm="ip" if mode in (HWMode.SC, HWMode.SCS) else "op",
+        mode=mode,
+        tiles=tiles,
+        fixed_overhead_cycles=float(rng.integers(0, 500)),
+    )
+
+
+def _analytic_random(geom_name, mode):
+    geom = Geometry.parse(geom_name)
+    model = AnalyticModel(geom, DEFAULT_PARAMS)
+    return digest(
+        [
+            report_fields(model.evaluate(_random_profile(geom, mode, seed)))
+            for seed in range(3)
+        ]
+    )
+
+
+def _analytic_cases():
+    return {
+        f"analytic/random/{g}/{mode.label}": functools.partial(
+            _analytic_random, g, mode
+        )
+        for g in ("8x16", "2x8")
+        for mode in HWMode
+    }
+
+
+def _record_fields(log) -> list:
+    """Every record's report and every priced alternative's report."""
+    return [
+        (
+            report_fields(rec.report),
+            {k: report_fields(r) for k, r in rec.alternatives.items()},
+        )
+        for rec in log.records
+    ]
+
+
+def _records_run(algo, **kw):
+    graph = suite_graph("twitter")
+    driver = bfs if algo == "bfs" else sssp
+    run = driver(graph, _source(graph), geometry="4x8", **kw)
+    return digest(run_digest(run), _record_fields(run.log))
+
+
+def _records_trace(driver):
+    """Oracle under trace fidelity: the OP probes execute the exact
+    merge, so a winning OP probe's result and report are both reused."""
+    run = driver(
+        tiny_graph(), 0, geometry="2x2", policy="oracle", fidelity="trace"
+    )
+    return digest(run_digest(run), _record_fields(run.log))
+
+
+def _records_batch():
+    graph = suite_graph("twitter")
+    rt = CoSparseRuntime(graph.operand, "4x8", policy="oracle")
+    n = graph.n_vertices
+    cols = [
+        random_frontier(n, 0.002, seed=70),
+        _dense(n, 0.5, seed=71),
+        random_frontier(n, 0.02, seed=72),
+    ]
+    rt.spmv_batch(MultiVector(cols), spmv_semiring())
+    return digest(_record_fields(rt.log))
+
+
+def _record_cases():
+    return {
+        "records/twitter/bfs/oracle": functools.partial(
+            _records_run, "bfs", policy="oracle"
+        ),
+        "records/twitter/sssp/oracle": functools.partial(
+            _records_run, "sssp", policy="oracle"
+        ),
+        "records/twitter/bfs/oracle_energy": functools.partial(
+            _records_run, "bfs", policy="oracle", objective="energy"
+        ),
+        "records/twitter/bfs/adaptive": functools.partial(
+            _records_run, "bfs", policy="adaptive"
+        ),
+        "records/twitter/spmv_batch/oracle": _records_batch,
+        "records/tiny/bfs/oracle_trace": functools.partial(_records_trace, bfs),
+        "records/tiny/sssp/oracle_trace": functools.partial(
+            _records_trace, sssp
+        ),
+    }
+
+
 def all_cases():
     return {
         **_ip_cases(), **_op_cases(), **_batch_cases(), **_runtime_cases(),
-        **_pricing_cases(),
+        **_pricing_cases(), **_analytic_cases(), **_record_cases(),
     }
 
 
@@ -495,9 +656,12 @@ def test_digest_unchanged(name):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: python tests/test_behaviour_lock.py --record")
-    digests = {name: fn() for name, fn in sorted(CASES.items())}
+    if sys.argv[1:] not in (["--record"], ["--add"]):
+        sys.exit("usage: python tests/test_behaviour_lock.py --record|--add")
+    digests = _recorded() if sys.argv[1] == "--add" else {}
+    for name, fn in sorted(CASES.items()):
+        if name not in digests:
+            digests[name] = fn()
     LOCK_FILE.write_text(
         json.dumps(
             {
